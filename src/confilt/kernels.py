@@ -111,6 +111,10 @@ def error_nonlinearity(e: float, alpha: float) -> float:
     if not math.isfinite(x):
         # limit g(e) -> e for |e| -> inf
         return e
+    if x < 1.0 and abs(e) < 1e100:
+        # e**3 first: dividing by 1 + x >= 1 cannot round above alpha |e|^3,
+        # even when that bound is subnormal
+        return alpha * e**3 / (1.0 + x)
     return e * (x / (1.0 + x))
 
 

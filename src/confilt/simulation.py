@@ -50,13 +50,6 @@ class SystemSchedule:
         if len(self.systems) != len(self.boundaries) or self.boundaries[0] != 0:
             raise ValueError("schedule needs one start index per segment, first at 0")
 
-    def segment_index(self, n: int) -> int:
-        k = 0
-        for i, b in enumerate(self.boundaries):
-            if n >= b:
-                k = i
-        return k
-
 
 @dataclass(frozen=True)
 class SignalModel:
@@ -85,11 +78,6 @@ class SignalModel:
     @property
     def n_taps(self) -> int:
         return self.R.shape[0]
-
-    def system_at(self, n: int) -> np.ndarray:
-        if isinstance(self.w_sys, SystemSchedule):
-            return self.w_sys.systems[self.w_sys.segment_index(n)]
-        return self.w_sys
 
 
 def white_signal_model(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confilt.constraints import build_constraint_set, linear_phase_constraints
@@ -41,6 +41,7 @@ class TestErrorNonlinearity:
         e=st.floats(-1e6, 1e6, allow_nan=False),
         alpha=st.floats(1e-6, 1e6, allow_nan=False),
     )
+    @example(e=6.15e-109, alpha=11.0)  # alpha |e|^3 underflows to 0
     @settings(max_examples=200)
     def test_odd_and_bounded(self, e, alpha):
         g = error_nonlinearity(e, alpha)

@@ -4,7 +4,12 @@ from scipy import integrate
 
 from confilt.constraints import build_constraint_set, linear_phase_constraints, unvec, vec
 from confilt.kernels import AlgorithmParams
-from confilt.simulation import optimal_constrained_wiener, white_signal_model
+from confilt.simulation import (
+    SignalModel,
+    ar1_signal_model,
+    optimal_constrained_wiener,
+    white_signal_model,
+)
 from confilt.theory import (
     GaussianErrorModel,
     h_G,
@@ -23,6 +28,13 @@ def quad_oracle(integrand, sigma_e2):
     return val
 
 
+# (sigma_e2, alpha): a 2 x 4 table, then a = alpha sigma_e2 on 1e-8 .. 1e6 at
+# ten points per decade, which crosses every evaluation regime
+QUADRATURE_CASES = [
+    pytest.param(s2, alpha, id=f"{s2}-{alpha}") for s2 in (0.01, 1.0) for alpha in (1e-4, 0.1, 1.0, 10.0)
+] + [pytest.param(0.3, 10.0 ** (k / 10) / 0.3, id=f"a=1e{k / 10:g}") for k in range(-80, 61)]
+
+
 class TestMomentFunctionals:
     def test_zero_variance(self):
         assert h_G(GaussianErrorModel(0.0, 1.0)) == 0.0
@@ -32,14 +44,13 @@ class TestMomentFunctionals:
         with pytest.raises(ValueError):
             GaussianErrorModel(-1.0, 1.0)
 
-    @pytest.mark.parametrize("alpha", [1e-4, 0.1, 1.0, 10.0])
-    @pytest.mark.parametrize("sigma_e2", [0.01, 1.0])
+    @pytest.mark.parametrize("sigma_e2, alpha", QUADRATURE_CASES)
     def test_matches_adaptive_quadrature(self, alpha, sigma_e2):
         m = GaussianErrorModel(sigma_e2, alpha)
         ref_g = quad_oracle(lambda e: alpha * e**4 / (1 + alpha * e**2), sigma_e2) / sigma_e2
         ref_u = quad_oracle(lambda e: (alpha * e**3 / (1 + alpha * e**2)) ** 2, sigma_e2)
-        assert h_G(m) == pytest.approx(ref_g, rel=1e-10)
-        assert h_U(m) == pytest.approx(ref_u, rel=1e-10)
+        assert h_G(m) == pytest.approx(ref_g, rel=1e-10, abs=0)
+        assert h_U(m) == pytest.approx(ref_u, rel=1e-10, abs=0)
 
     def test_small_alpha_limits(self):
         # h_G -> 3 alpha sigma^2 (E[e^4] = 3 sigma^4), h_U -> 15 alpha^2 sigma^6
@@ -162,6 +173,44 @@ class TestTransientPredictor:
             msd.append(np.trace(phi))
         ratios = np.array(msd[1:]) / np.array(msd[:-1])
         assert np.all(ratios <= rho_eff + 1e-12)
+
+    @pytest.mark.parametrize("case, a_crossed", [("ar1-L10", 0.5), ("random-L3", 1e-3)])
+    def test_matches_kronecker_oracle(self, case, a_crossed):
+        # the L x L recursion against F^T vec(Phi) + drive from
+        # variance_transition, symmetrised, with the public h_G / h_U;
+        # a = alpha sigma_e^2 crosses the regime limits of the moment
+        # evaluation (0.5 for the AR(1) case, 1e-3 for the random one)
+        if case == "ar1-L10":
+            white, cs = exp1_setup()
+            model = ar1_signal_model(0.8, 0.01, white.w_sys)
+            params = AlgorithmParams(mu=0.05, alpha=1.0)
+        else:
+            rng = np.random.default_rng(7)
+            A = rng.standard_normal((3, 3))
+            model = SignalModel(R=A @ A.T + np.eye(3), sigma_v2=0.01, w_sys=rng.standard_normal(3))
+            cs = build_constraint_set(rng.standard_normal((3, 1)), rng.standard_normal(1))
+            params = AlgorithmParams(mu=2.0, alpha=0.05)
+        L, N = model.n_taps, 300
+        trace = transient_predictor(model, cs, params, np.zeros(L), N)
+
+        wt0 = cs.P @ optimal_constrained_wiener(model, cs)
+        phi = np.outer(wt0, wt0)
+        msd, emse = [], []
+        for n in range(N + 1):
+            msd.append(np.trace(phi))
+            emse.append(np.trace(model.R @ phi))
+            if n == N:
+                break
+            err = GaussianErrorModel(emse[-1] + model.sigma_v2, params.alpha)
+            F, drive = variance_transition(model.R, cs.P, params.mu, h_G(err), h_U(err))
+            phi = unvec(F.T @ vec(phi) + drive)
+            phi = 0.5 * (phi + phi.T)
+        np.testing.assert_allclose(trace.msd, msd, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace.emse, emse, rtol=1e-12, atol=0)
+        # msd and emse alone cannot tell Phi from its unsymmetrised update
+        np.testing.assert_allclose(trace.weight_correlation, phi, rtol=0, atol=1e-12 * np.abs(phi).max())
+        a = params.alpha * (trace.emse + model.sigma_v2)
+        assert a[0] > a_crossed > a[-1]
 
     def test_divergent_mu_raises_with_index(self):
         from confilt.kernels import DivergenceError
