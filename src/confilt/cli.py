@@ -34,6 +34,7 @@ from .simulation import (
     optimal_constrained_wiener,
     ratio_to_db,
     run_monte_carlo,
+    run_step_size_sweep,
     sparse_system_schedule,
     steady_state_emse_sim,
     steady_state_plateau_db,
@@ -76,7 +77,6 @@ class ExperimentConfig:
     match_bounds: tuple[float, float]
     match_trials: int
     out_dir: str
-    threads: int
     applied_defaults: list[str] = field(default_factory=list)
 
 
@@ -107,7 +107,7 @@ _EXPERIMENT_DEFAULTS = {
 _GLOBAL_DEFAULTS = dict(
     trials=500, base_seed=1234, system_seed=7, alpha=1.0, beta_slope=10.0,
     input_kind="white", ar1_rho=0.5, match_bounds="1e-4, 0.5",
-    match_trials=100, out_dir="results", threads=1,
+    match_trials=100, out_dir="results",
 )
 
 TEMPLATE = """\
@@ -146,7 +146,6 @@ id = exp1                  ; exp1 | exp2-snr | exp2-mu | exp3 | custom
 
 [output]
 # dir = results
-# threads = 1                ; worker processes for the trial loop
 """
 
 
@@ -259,7 +258,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         match_bounds=tuple(bounds),
         match_trials=resolve("matching", "trials", int, default_key="match_trials"),
         out_dir=resolve("output", "dir", str, default_key="out_dir"),
-        threads=resolve("output", "threads", int),
         applied_defaults=applied,
     )
     _validate_resolved(cfg, path)
@@ -287,8 +285,6 @@ def _validate_resolved(cfg: ExperimentConfig, path) -> None:
         raise ConfigError(f"{path}: exp2-mu needs mu_list")
     if not (0 < cfg.match_bounds[0] < cfg.match_bounds[1]):
         raise ConfigError(f"{path}: [matching] bounds must be an increasing positive pair")
-    if cfg.threads < 1:
-        raise ConfigError(f"{path}: [output] threads must be >= 1")
 
 
 def build_scenario(cfg: ExperimentConfig, sigma_v2: float) -> tuple[SignalModel, ConstraintSet | None]:
@@ -375,7 +371,6 @@ def _config_echo(cfg: ExperimentConfig) -> str:
         "",
         "[output]",
         f"dir = {cfg.out_dir}",
-        f"threads = {cfg.threads}",
     ]
     return "\n".join(lines)
 
@@ -391,7 +386,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
     csv_files: dict[str, str] = {}  # file name -> plot title
     theory_files: set[str] = set()
 
-    for label, sigma_v2, mu in _variants(cfg):
+    def is_matched(name: str) -> bool:
+        return cfg.matching and _MATCH_PAIRS.get(name) in cfg.algorithms
+
+    # the step sizes of mu_list share model, constraint and seeds, so each
+    # algorithm runs them as one sweep
+    swept: dict[str, list[RunResult]] = {}
+    if cfg.mu_list:
+        model, cs = build_scenario(cfg, cfg.sigma_v2)
+        params = AlgorithmParams(
+            mu=cfg.mu, alpha=cfg.alpha, t=cfg.l1_budget, beta_slope=cfg.beta_slope
+        )
+        for name in cfg.algorithms:
+            if not is_matched(name):
+                swept[name] = run_step_size_sweep(
+                    model, name, params, cfg.mu_list, cfg.trials, cfg.horizon,
+                    cfg.base_seed, cs=cs,
+                )
+
+    for i, (label, sigma_v2, mu) in enumerate(_variants(cfg)):
         model, cs = build_scenario(cfg, sigma_v2)
         base_params = AlgorithmParams(
             mu=mu, alpha=cfg.alpha, t=cfg.l1_budget, beta_slope=cfg.beta_slope
@@ -406,20 +419,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
         )
         for name in run_order:
             params = base_params
-            if cfg.matching and name in _MATCH_PAIRS and _MATCH_PAIRS[name] in plateau_ref:
+            if is_matched(name):
                 target = plateau_ref[_MATCH_PAIRS[name]]
                 mu_hat = match_step_size(
                     target, name, model, cfg.match_bounds, cs=cs,
                     params=base_params, trials=cfg.match_trials,
                     horizon=cfg.horizon, base_seed=cfg.base_seed,
-                    n_workers=cfg.threads,
                 )
                 matched_mu[name] = mu_hat
                 params = replace(base_params, mu=mu_hat)
-            res = run_monte_carlo(
-                model, name, params, cfg.trials, cfg.horizon, cfg.base_seed,
-                cs=cs, n_workers=cfg.threads,
-            )
+            if name in swept:
+                res = swept[name][i]
+            else:
+                res = run_monte_carlo(
+                    model, name, params, cfg.trials, cfg.horizon, cfg.base_seed, cs=cs
+                )
             results[name] = res
             plateau_ref[name] = steady_state_plateau_db(res)
 
@@ -559,8 +573,6 @@ def _load_with_overrides(args) -> ExperimentConfig:
         cfg.trials = args.trials
     if getattr(args, "out_dir", None) is not None:
         cfg.out_dir = args.out_dir
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
     return cfg
 
 
@@ -607,7 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override base_seed")
         p.add_argument("--trials", type=int, help="override trials")
         p.add_argument("--out-dir", help="override output directory")
-        p.add_argument("--threads", type=int, help="override worker processes")
 
     p_init = sub.add_parser("init", help="write a commented template config")
     p_init.add_argument("--config", required=True, help="where to write the template")

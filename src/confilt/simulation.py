@@ -3,31 +3,39 @@
 System-identification scenarios feed a tapped delay line over a scalar
 Gaussian stream (optionally AR(1)-filtered) into the adaptive filter and
 compare it against the constrained Wiener optimum. Ensemble runs average
-normalized squared deviation and excess error power over independent
-trials, each with its own deterministically seeded generator, so results
-are reproducible bit-for-bit for a given (config, base_seed).
+normalized squared deviation and excess error power over independent trials.
+
+One row engine runs every ensemble. A row is one (step size, trial) pair;
+the engine steps all rows of a pass at once as a (trials, step sizes, L)
+weight array and keeps the weight history, from which the deviation curves
+are computed in bulk after the loop. Trial k draws its signals once, from
+its own generator seeded base_seed + k, and every step size of a sweep
+reuses that draw (common random numbers). A row whose error turns non-finite
+has diverged: it is dropped from the averages and counted.
+
+Each row performs the floating-point operations of the per-sample step
+functions in `kernels`, which stay as the reference, in the same order.
+That needs row-independent kernels: dot products and projections are
+stacked matmuls (``W[..., None, :] @ u[..., None]``, ``P @ X[..., None]``),
+which numpy evaluates slice by slice with the same BLAS call as the
+per-sample ``w @ u`` and ``P @ w``, whereas one matrix product over all rows
+(``W @ P.T``) blocks its sums differently and makes a row depend on its
+neighbours; the cube of the log-cost kernel is C ``pow``, as in Python's
+``e**3``, not numpy's power. A row is therefore bit-identical to the
+per-sample loop whatever else shares its pass, and ensembles are reduced in
+trial order, so results are reproducible bit for bit for a given
+(config, base_seed).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .constraints import ConstraintSet
-from .kernels import (
-    ALGORITHMS,
-    AlgorithmParams,
-    DegenerateDirectionError,
-    DivergenceError,
-    FilterState,
-    clms_step,
-    clmls_step,
-)
+from .kernels import _DEGENERATE_PS2, ALGORITHMS, AlgorithmParams
 
 DB_FLOOR = -400.0
 _RATIO_FLOOR = 10.0 ** (DB_FLOOR / 10.0)
@@ -174,6 +182,8 @@ def generate_signals(
         rho = model.rho
         start = rng.standard_normal()  # stationary initial state
         c = math.sqrt(1.0 - rho * rho)
+        from scipy.signal import lfilter  # slow to import; only AR(1) input needs it
+
         x, _ = lfilter([c], [1.0, -rho], x, zi=np.array([rho * start]))
     padded = np.concatenate([np.zeros(L - 1), x])
     U = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, L)[:, ::-1])
@@ -233,6 +243,9 @@ class RunResult:
     trials: int
     completed_trials: int
     diverged_trials: int
+    # per diverged trial, in trial order: the sample whose error was first
+    # non-finite (horizon when only the final weights were)
+    diverged_at: list[int]
     base_seed: int
     msd_db: np.ndarray  # 10 log10(mean ||w_o - w||^2 / ||w_o||^2)
     msd_ratio: np.ndarray  # linear-domain mean
@@ -279,65 +292,246 @@ def _resolve_references(
     return optima, seg_params, starts
 
 
-def _run_trial(
-    trial: int,
+# Bytes of weight history, inputs and curves one engine pass may hold; larger
+# ensembles run as several passes over consecutive trials.
+_PASS_BYTES = 1 << 26
+
+_cube = np.frompyfunc(math.pow, 2, 1)
+
+
+def _log_kernel_rows(e: np.ndarray, alpha: float) -> np.ndarray:
+    """`error_nonlinearity` elementwise, with the same roundings."""
+    x = alpha * e * e
+    cubic = x < 1.0
+    if alpha < 1e-199:
+        # otherwise x < 1 already implies the |e| < 1e100 guard
+        cubic &= np.abs(e) < 1e100
+    if cubic.all():
+        return alpha * _cube(e, 3.0).astype(float) / (1.0 + x)
+    g = e * (x / (1.0 + x))
+    if cubic.any():
+        g[cubic] = alpha * _cube(e[cubic], 3.0).astype(float) / (1.0 + x[cubic])
+    return np.where(np.isfinite(x), g, e)
+
+
+@dataclass(eq=False)
+class _Rows:
+    """Outcomes of one engine pass, indexed [trial, step size]."""
+
+    msd_ratio: np.ndarray  # (trials, mus, horizon); zero on diverged rows
+    ea2: np.ndarray  # same layout
+    diverged_at: np.ndarray  # first non-finite error; -1 if the row completed
+    fallback_steps: np.ndarray
+    max_residual: np.ndarray
+
+
+def _run_rows(
     model: SignalModel,
     cs: ConstraintSet | None,
     algorithm: str,
     params: AlgorithmParams,
+    mus: np.ndarray,
+    seeds,
     horizon: int,
-    base_seed: int,
     w_init: np.ndarray | None,
     residual_check_every: int,
-):
+) -> _Rows:
+    """Step every (seed, mu) row through `horizon` samples at once."""
     spec = ALGORITHMS[algorithm]
-    rng = np.random.default_rng(base_seed + trial)
-    U, d = generate_signals(model, horizon, rng)
-    L = model.n_taps
-
     optima, seg_params, starts = _resolve_references(model, cs, spec, params)
-    fallback = clmls_step if spec.log_kernel else clms_step
+    L, T = model.n_taps, len(seeds)
+    U = np.empty((horizon, T, L))
+    D = np.empty((horizon, T))
+    for k, seed in enumerate(seeds):
+        U[:, k], D[:, k] = generate_signals(model, horizon, np.random.default_rng(seed))
 
     w0 = np.zeros(L) if w_init is None else np.asarray(w_init, dtype=float)
     if spec.constrained:
-        w0 = cs.P @ w0 + cs.f
-    state = FilterState(w=w0, n=0)
+        P, f = cs.P, cs.f
+        w0 = P @ w0 + f
+    hist = np.empty((horizon + 1, T, len(mus), L))  # hist[n] = w(n)
+    hist[0] = w0
+    errors = np.empty((horizon, T, len(mus)))
+    degenerate = np.zeros(errors.shape, dtype=bool)  # P s vanished at step n
+    seg_of = np.searchsorted(starts, np.arange(horizon), side="right") - 1
+    alpha, beta = params.alpha, params.beta_slope
 
-    msd_ratio = np.empty(horizon)
-    ea2 = np.empty(horizon)
-    fallback_steps = 0
-    max_residual = 0.0
-    seg = 0
-    step = spec.step
-    # divergence is detected by the error/weight finiteness checks; the
-    # inf/nan arithmetic right before detection is expected
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(horizon):
-                while seg + 1 < len(starts) and n >= starts[seg + 1]:
-                    seg += 1
-                w_opt = optima[seg]
-                dev = w_opt - state.w
-                msd_ratio[n] = (dev @ dev) / (w_opt @ w_opt)
-                ea = dev @ U[n]
-                ea2[n] = ea * ea
-                if spec.sparse:
-                    try:
-                        state, _ = step(state, U[n], d[n], seg_params[seg], cs)
-                    except DegenerateDirectionError:
-                        state = fallback(state, U[n], d[n], seg_params[seg], cs)
-                        fallback_steps += 1
-                elif spec.constrained:
-                    state = step(state, U[n], d[n], seg_params[seg], cs)
+    # a row whose error turns non-finite has diverged: it keeps running on
+    # inf/nan, and its steps from then on are ignored after the loop
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(horizon):
+            W, u = hist[n], U[n]
+            u_rows = u[:, None, :]
+            e = np.subtract(
+                D[n][:, None], (W[..., None, :] @ u[:, None, :, None])[..., 0, 0], out=errors[n]
+            )
+            g = _log_kernel_rows(e, alpha) if spec.log_kernel else e
+            step = (mus * g)[..., None]
+            if spec.sparse:
+                if spec.reweighted:
+                    s = (2.0 * beta / math.pi) * np.sign(W) / (beta * beta * W * W + 1.0)
+                    t_now = (2.0 / math.pi) * np.sum(np.arctan(beta * np.abs(W)), axis=-1)
                 else:
-                    state = step(state, U[n], d[n], seg_params[seg])
-                if spec.constrained and (n % residual_check_every) == 0:
-                    max_residual = max(max_residual, cs.residual(state.w))
-    except DivergenceError:
-        return None, None, fallback_steps, max_residual
-    if not np.all(np.isfinite(state.w)):
-        return None, None, fallback_steps, max_residual
-    return msd_ratio, ea2, fallback_steps, max_residual
+                    s = np.sign(W)
+                    t_now = (s[..., None, :] @ W[..., None])[..., 0, 0]
+                Ps = (P @ s[..., None])[..., 0]
+                ps2 = (Ps[..., None, :] @ Ps[..., None])[..., 0, 0]
+                q = Ps / ps2[..., None]
+                Pu = (P @ u[..., None])[..., 0]
+                p_prime_u = Pu[:, None, :] - q * (Ps[..., None, :] @ u[:, None, :, None])[..., 0]
+                f_l1 = (seg_params[seg_of[n]].t - t_now)[..., None] * q
+                w_next = (P @ (W + step * p_prime_u)[..., None])[..., 0] + f + f_l1
+                # rows whose P s vanished take the non-sparse step
+                if np.less(ps2, _DEGENERATE_PS2, out=degenerate[n]).any():
+                    plain = (P @ (W + step * u_rows)[..., None])[..., 0] + f
+                    w_next = np.where(degenerate[n][..., None], plain, w_next)
+                hist[n + 1] = w_next
+            elif spec.constrained:
+                np.add((P @ (W + step * u_rows)[..., None])[..., 0], f, out=hist[n + 1])
+            else:
+                np.add(W, step * u_rows, out=hist[n + 1])
+
+        # first non-finite error; or finite errors throughout but non-finite
+        # final weights
+        bad = ~np.isfinite(errors)
+        diverged_at = np.where(bad.any(axis=0), np.argmax(bad, axis=0), -1)
+        diverged_at[(diverged_at < 0) & ~np.isfinite(hist[horizon]).all(axis=-1)] = horizon
+        # step n of a row counts if it completed
+        completed = np.arange(horizon)[:, None, None] < np.where(diverged_at < 0, horizon, diverged_at)
+        fallback_steps = np.sum(degenerate & completed, axis=0)
+        max_residual = np.zeros(diverged_at.shape)
+        if spec.constrained:
+            checks = np.arange(0, horizon, residual_check_every)
+            resid = np.max(np.abs((cs.C.T @ hist[checks + 1][..., None])[..., 0] - cs.z), axis=-1)
+            # like max(), fmax skips NaN
+            max_residual = np.fmax.reduce(np.where(completed[checks], resid, 0.0), axis=0, initial=0.0)
+
+        # deviation from the active optimum before each step, in place of w(n)
+        w_opt = np.array(optima)[seg_of]
+        dev = np.subtract(w_opt[:, None, None, :], hist[:horizon], out=hist[:horizon])
+        norms = np.array([float(w @ w) for w in optima])[seg_of]
+        msd_ratio = (dev[..., None, :] @ dev[..., None])[..., 0, 0] / norms[:, None, None]
+        ea = (dev[..., None, :] @ U[:, :, None, :, None])[..., 0, 0]
+        ea2 = ea * ea
+    ok = (diverged_at < 0)[..., None]
+    return _Rows(
+        msd_ratio=np.where(ok, np.moveaxis(msd_ratio, 0, -1), 0.0),
+        ea2=np.where(ok, np.moveaxis(ea2, 0, -1), 0.0),
+        diverged_at=diverged_at,
+        fallback_steps=fallback_steps,
+        max_residual=max_residual,
+    )
+
+
+def run_step_size_sweep(
+    model: SignalModel,
+    algorithm: str,
+    params: AlgorithmParams,
+    mus,
+    trials: int,
+    horizon: int,
+    base_seed: int,
+    cs: ConstraintSet | None = None,
+    w_init: np.ndarray | None = None,
+    residual_check_every: int = 100,
+) -> list[RunResult]:
+    """Ensemble-average an algorithm at each step size in `mus`.
+
+    Trial k uses generator seed base_seed + k for every step size. Diverged
+    trials are dropped from the averages and counted; a step size at which
+    every trial diverges raises EnsembleDivergedError. Each result is
+    bit-identical to a run of that step size alone.
+    """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if algorithm not in ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; valid: {', '.join(sorted(ALGORITHMS))}"
+        )
+    spec = ALGORITHMS[algorithm]
+    if spec.constrained and cs is None:
+        raise ValueError(f"{algorithm} requires a constraint set")
+    runs = [replace(params, mu=float(mu)) for mu in mus]
+    if not runs:
+        raise ValueError("need at least one step size")
+    n_mu = len(runs)
+    mu_rows = np.array([p.mu for p in runs])
+
+    sum_ratio = np.zeros((n_mu, horizon))
+    sum_ratio_sq = np.zeros((n_mu, horizon))
+    sum_ea2 = np.zeros((n_mu, horizon))
+    completed = np.zeros(n_mu, dtype=int)
+    diverged_at: list[list[int]] = [[] for _ in runs]
+    fallback_steps = np.zeros(n_mu, dtype=int)
+    max_residual = np.zeros(n_mu)
+
+    per_trial = 8 * (horizon + 1) * ((n_mu + 1) * model.n_taps + 5 * n_mu + 1)
+    per_pass = max(1, _PASS_BYTES // per_trial)
+    for first in range(base_seed, base_seed + trials, per_pass):
+        seeds = range(first, min(first + per_pass, base_seed + trials))
+        rows = _run_rows(
+            model, cs, algorithm, params, mu_rows, seeds, horizon, w_init,
+            residual_check_every,
+        )
+        # diverged rows are zero, so every trial can be added in trial order
+        for ratio, ea2 in zip(rows.msd_ratio, rows.ea2):
+            np.add(sum_ratio, ratio, out=sum_ratio)
+            np.add(sum_ratio_sq, ratio * ratio, out=sum_ratio_sq)
+            np.add(sum_ea2, ea2, out=sum_ea2)
+        completed += np.sum(rows.diverged_at < 0, axis=0)
+        for j in range(n_mu):
+            diverged_at[j] += [int(n) for n in rows.diverged_at[:, j] if n >= 0]
+        fallback_steps += np.sum(rows.fallback_steps, axis=0)
+        max_residual = np.maximum(max_residual, np.max(rows.max_residual, axis=0))
+
+    results = []
+    for j, run in enumerate(runs):
+        done = int(completed[j])
+        if done == 0:
+            # every trial diverged, so list positions are trial numbers
+            first_bad = min(diverged_at[j])
+            raise EnsembleDivergedError(
+                f"all {trials} trials of {algorithm} at mu = {run.mu:g} diverged "
+                f"(mu too large?); the first at iteration {first_bad} of trial "
+                f"{diverged_at[j].index(first_bad)}"
+            )
+        mean_ratio = sum_ratio[j] / done
+        if done > 1:
+            var = np.maximum(sum_ratio_sq[j] / done - mean_ratio**2, 0.0)
+            se = np.sqrt(var / (done - 1))
+        else:
+            se = np.zeros(horizon)
+        config = {
+            "algorithm": algorithm,
+            "trials": trials,
+            "horizon": horizon,
+            "base_seed": base_seed,
+            "mu": run.mu,
+            "alpha": run.alpha,
+            "t": run.t,
+            "beta_slope": run.beta_slope,
+            "sigma_v2": model.sigma_v2,
+            "input_kind": model.input_kind,
+            "rho": model.rho,
+            "n_taps": model.n_taps,
+            "constrained": spec.constrained,
+        }
+        results.append(RunResult(
+            algorithm=algorithm,
+            trials=trials,
+            completed_trials=done,
+            diverged_trials=trials - done,
+            diverged_at=diverged_at[j],
+            base_seed=base_seed,
+            msd_db=np.asarray(ratio_to_db(mean_ratio)),
+            msd_ratio=mean_ratio,
+            msd_ratio_se=se,
+            emse=sum_ea2[j] / done,
+            fallback_steps=int(fallback_steps[j]),
+            max_residual=float(max_residual[j]),
+            config=config,
+        ))
+    return results
 
 
 def run_monte_carlo(
@@ -352,103 +546,16 @@ def run_monte_carlo(
     n_workers: int = 1,
     residual_check_every: int = 100,
 ) -> RunResult:
-    """Ensemble-average an algorithm over independent trials.
+    """Ensemble-average an algorithm over independent trials at params.mu.
 
-    Trial k uses generator seed base_seed + k. Diverged trials are dropped
-    from the averages and counted. Aggregation is a reduction in trial
-    order, so the result is identical regardless of n_workers.
+    The one-step-size case of `run_step_size_sweep`. n_workers is accepted
+    and ignored: the row engine runs in one process, and the argument stays
+    for callers written for the former process pool.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; valid: {', '.join(sorted(ALGORITHMS))}"
-        )
-    spec = ALGORITHMS[algorithm]
-    if spec.constrained and cs is None:
-        raise ValueError(f"{algorithm} requires a constraint set")
-
-    worker = partial(
-        _run_trial,
-        model=model,
-        cs=cs,
-        algorithm=algorithm,
-        params=params,
-        horizon=horizon,
-        base_seed=base_seed,
-        w_init=w_init,
-        residual_check_every=residual_check_every,
-    )
-    sum_ratio = np.zeros(horizon)
-    sum_ratio_sq = np.zeros(horizon)
-    sum_ea2 = np.zeros(horizon)
-    completed = 0
-    diverged = 0
-    fallback_steps = 0
-    max_residual = 0.0
-
-    def consume(res):
-        nonlocal completed, diverged, fallback_steps, max_residual
-        msd_ratio, ea2, fb, resid = res
-        fallback_steps += fb
-        max_residual = max(max_residual, resid)
-        if msd_ratio is None:
-            diverged += 1
-            return
-        completed += 1
-        np.add(sum_ratio, msd_ratio, out=sum_ratio)
-        np.add(sum_ratio_sq, msd_ratio * msd_ratio, out=sum_ratio_sq)
-        np.add(sum_ea2, ea2, out=sum_ea2)
-
-    if n_workers > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            chunk = max(1, trials // (n_workers * 4))
-            for res in pool.map(worker, range(trials), chunksize=chunk):
-                consume(res)
-    else:
-        for trial in range(trials):
-            consume(worker(trial))
-
-    if completed == 0:
-        raise EnsembleDivergedError(
-            f"all {trials} trials of {algorithm} diverged (mu too large?)"
-        )
-
-    mean_ratio = sum_ratio / completed
-    if completed > 1:
-        var = np.maximum(sum_ratio_sq / completed - mean_ratio**2, 0.0)
-        se = np.sqrt(var / (completed - 1))
-    else:
-        se = np.zeros(horizon)
-    config = {
-        "algorithm": algorithm,
-        "trials": trials,
-        "horizon": horizon,
-        "base_seed": base_seed,
-        "mu": params.mu,
-        "alpha": params.alpha,
-        "t": params.t,
-        "beta_slope": params.beta_slope,
-        "sigma_v2": model.sigma_v2,
-        "input_kind": model.input_kind,
-        "rho": model.rho,
-        "n_taps": model.n_taps,
-        "constrained": spec.constrained,
-    }
-    return RunResult(
-        algorithm=algorithm,
-        trials=trials,
-        completed_trials=completed,
-        diverged_trials=diverged,
-        base_seed=base_seed,
-        msd_db=np.asarray(ratio_to_db(mean_ratio)),
-        msd_ratio=mean_ratio,
-        msd_ratio_se=se,
-        emse=sum_ea2 / completed,
-        fallback_steps=fallback_steps,
-        max_residual=max_residual,
-        config=config,
-    )
+    return run_step_size_sweep(
+        model, algorithm, params, [params.mu], trials, horizon, base_seed,
+        cs=cs, w_init=w_init, residual_check_every=residual_check_every,
+    )[0]
 
 
 def steady_state_plateau_db(result: RunResult, window_frac: float = 0.1) -> float:
@@ -494,7 +601,6 @@ def match_step_size(
     rel_width: float = 0.05,
     max_evals: int = 30,
     n_grid: int = 6,
-    n_workers: int = 1,
 ) -> float:
     """Tune the step size until the steady-state plateau matches a target.
 
@@ -502,16 +608,16 @@ def match_step_size(
     step size the filter has not converged inside the window, above it the
     plateau is misadjustment-limited and increases with mu. A coarse
     geometric scan locates the rising branch, then bisection refines on it.
-    All probes reuse the same trial seeds (common random numbers), so the
-    plateau is a smooth function of mu. Returns mu whose plateau is within
+    The scan runs as one step-size sweep; the bisection probes run one mu
+    each. All probes reuse the same trial seeds (common random numbers), so
+    the plateau is a smooth function of mu. Returns mu whose plateau is within
     tol_db of the target, with the final bracket narrower than rel_width.
     """
     params = params or AlgorithmParams(mu=search_bounds[0])
 
     def plateau(mu: float) -> float:
         res = run_monte_carlo(
-            model, algorithm, replace(params, mu=mu), trials, horizon,
-            base_seed, cs=cs, n_workers=n_workers,
+            model, algorithm, replace(params, mu=mu), trials, horizon, base_seed, cs=cs
         )
         return steady_state_plateau_db(res)
 
@@ -520,7 +626,12 @@ def match_step_size(
         raise ValueError(f"invalid search bounds {search_bounds}")
 
     grid = np.geomspace(lo, hi, max(2, n_grid))
-    levels = [plateau(mu) for mu in grid]
+    levels = [
+        steady_state_plateau_db(res)
+        for res in run_step_size_sweep(
+            model, algorithm, params, grid, trials, horizon, base_seed, cs=cs
+        )
+    ]
     k_min = int(np.argmin(levels))
     if reference_msd_db < levels[k_min] - tol_db:
         raise StepSizeMatchError(

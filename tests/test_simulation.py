@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -224,8 +226,29 @@ class TestMonteCarlo:
 
     def test_divergent_trials_dropped_and_counted(self):
         model, cs = exp1_scenario()
-        with pytest.raises(EnsembleDivergedError):
+
+        def first_divergence(algorithm, mu, trials, horizon, seed):
+            """Per trial, run alone: the iteration its error named, or None."""
+            out = []
+            for k in range(trials):
+                try:
+                    run_monte_carlo(model, algorithm, AlgorithmParams(mu=mu), 1, horizon, seed + k, cs=cs)
+                    out.append(None)
+                except EnsembleDivergedError as exc:
+                    out.append(int(re.search(r"iteration (\d+)", str(exc)).group(1)))
+            return out
+
+        alone = first_divergence("clms", 50.0, 3, 2000, 1)
+        with pytest.raises(EnsembleDivergedError, match=rf"first at iteration {min(alone)} of trial {alone.index(min(alone))}\b"):
             run_monte_carlo(model, "clms", AlgorithmParams(mu=50.0), 3, 2000, 1, cs=cs)
+
+        # at mu = 1 some trials of clmls diverge and the others complete
+        alone = first_divergence("clmls", 1.0, 6, 1500, 1)
+        res = run_monte_carlo(model, "clmls", AlgorithmParams(mu=1.0), 6, 1500, 1, cs=cs)
+        assert res.diverged_at == [n for n in alone if n is not None]
+        assert 0 < res.diverged_trials == len(res.diverged_at) < 6
+        assert res.completed_trials == 6 - res.diverged_trials
+        assert all(0 < n < 1500 for n in res.diverged_at)
 
     def test_degenerate_fallback_counted(self):
         # zero initial weights with z = 0 make sign(w) vanish at step 0
