@@ -2,10 +2,19 @@
 
 Subcommands:
     init      write a commented template config
-    validate  check a config and report applied defaults
+    validate  check a config and report where its values came from
     run       run the experiment; emit per-algorithm CSVs, a summary with a
               reproducible config echo, and a gnuplot script
     predict   theory-only transient curve plus closed-form steady state
+
+Every config key is one row of `_KEYS`: section, key, type, global default,
+per-experiment defaults, help text and range check. The loader, the `init`
+template, the validator, the `validate` notes and the `[config-echo]` of a
+run are all derived from that table, so a new key is one new row. A key's
+value comes from the config file, else from the chosen experiment's
+default, else from the global default; `--seed`, `--trials` and `--out-dir`
+override all three. Keys the table does not list are ignored, and
+`validate` names each of them.
 
 Exit codes: 0 success, 1 config error, 2 runtime divergence, 3 I/O error.
 """
@@ -14,17 +23,19 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, make_dataclass, replace
+from itertools import groupby
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from .constraints import ConstraintSet, build_constraint_set, linear_phase_constraints
-from .kernels import ALGORITHMS, AlgorithmParams
+from .kernels import ALGORITHMS, AlgorithmParams, DivergenceError
 from .simulation import (
     EnsembleDivergedError,
-    RunResult,
     SignalModel,
     StepSizeMatchError,
     ar1_signal_model,
@@ -33,7 +44,6 @@ from .simulation import (
     noise_var_from_snr,
     optimal_constrained_wiener,
     ratio_to_db,
-    run_monte_carlo,
     run_step_size_sweep,
     sparse_system_schedule,
     steady_state_emse_sim,
@@ -54,109 +64,175 @@ class ConfigError(Exception):
     """Invalid configuration; message is anchored to section/key."""
 
 
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    algorithms: list[str]
-    filter_length: int
-    horizon: int
-    trials: int
-    base_seed: int
-    system_seed: int
-    mu: float
-    alpha: float
-    l1_budget: float | None
-    beta_slope: float
-    input_kind: str
-    ar1_rho: float
-    sigma_v2: float | None
-    snr_db_list: list[float] | None
-    mu_list: list[float] | None
-    constraint: str  # linear-phase | dc-gain | none
-    matching: bool
-    match_bounds: tuple[float, float]
-    match_trials: int
-    out_dir: str
-    applied_defaults: list[str] = field(default_factory=list)
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return str(x)
 
 
-_EXPERIMENT_DEFAULTS = {
-    "exp1": dict(
-        algorithms="lms, lmls, clms, clmls", filter_length=10, horizon=5000,
-        sigma_v2=0.01, mu=0.05, constraint="linear-phase", matching=True,
-    ),
-    "exp2-snr": dict(
-        algorithms="clmls", filter_length=10, horizon=5000,
-        snr_db_list="30, 25, 20", mu=0.05, constraint="linear-phase", matching=False,
-    ),
-    "exp2-mu": dict(
-        algorithms="clmls", filter_length=10, horizon=5000,
-        sigma_v2=0.01, mu_list="0.03, 0.05, 0.1", mu=0.05,
-        constraint="linear-phase", matching=False,
-    ),
-    "exp3": dict(
-        algorithms="l1-clms, l1-wclms, l1-clmls, l1-wclmls", filter_length=30,
-        horizon=6000, sigma_v2=0.1, mu=0.01, constraint="dc-gain", matching=False,
-    ),
-    "custom": dict(
-        algorithms="clmls", filter_length=10, horizon=5000,
-        sigma_v2=0.01, mu=0.05, constraint="linear-phase", matching=False,
-    ),
-}
+def _exact(x: float) -> str:
+    """A float to 12 significant digits, as the CSVs print it, or in full where
+    those would not parse back to the same float."""
+    text = f"{x:.12g}"
+    return text if float(text) == x else repr(x)
 
-_GLOBAL_DEFAULTS = dict(
-    trials=500, base_seed=1234, system_seed=7, alpha=1.0, beta_slope=10.0,
-    input_kind="white", ar1_rho=0.5, match_bounds="1e-4, 0.5",
-    match_trials=100, out_dir="results",
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
+
+
+def _items(text: str, conv) -> list:
+    values = [conv(tok) for tok in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError("needs at least one value")
+    if len(set(values)) < len(values):
+        raise ValueError("lists a value twice")
+    return values
+
+
+def _pair(text: str) -> tuple[float, float]:
+    values = _items(text, _finite)
+    if len(values) != 2:
+        raise ValueError(f"needs exactly two values, got {len(values)}")
+    return tuple(values)
+
+
+def _bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected true or false")
+
+
+@dataclass(frozen=True)
+class _Type:
+    parse: Callable[[str], Any]  # raises ValueError on malformed text
+    show: Callable[[Any], str]  # back to text that parses to the same value
+
+
+_TEXT = _Type(str, str)
+_INT = _Type(int, str)
+_FLOAT = _Type(_finite, _exact)
+_FLOATS = _Type(lambda text: _items(text, _finite), lambda v: ", ".join(map(_exact, v)))
+_NAMES = _Type(lambda text: _items(text, str), ", ".join)
+_PAIR = _Type(_pair, _FLOATS.show)
+_BOOL = _Type(_bool, lambda v: str(v).lower())
+
+
+def _at_least(lo):
+    return lambda v: None if v >= lo else f"must be >= {lo}"
+
+
+def _above(lo):
+    return lambda v: None if v > lo else f"must be > {lo}"
+
+
+def _one_of(*names):
+    return lambda v: None if v in names else f"must be one of {', '.join(names)}"
+
+
+def _each(check):
+    return lambda values: next((f"{v!r} {p}" for v in values if (p := check(v))), None)
+
+
+@dataclass(frozen=True)
+class _Key:
+    section: str
+    key: str
+    attr: str  # ExperimentConfig field
+    type: _Type
+    default: str | None  # INI text; None or blank: unset unless given
+    help: str
+    check: Callable[[Any], str | None] = lambda v: None  # the problem with a value
+    per_experiment: dict[str, str | None] = field(default_factory=dict)
+
+    def default_for(self, experiment: str) -> str | None:
+        return self.per_experiment.get(experiment, self.default)
+
+
+_KEYS = (
+    _Key("experiment", "id", "experiment", _TEXT, None,
+         f"required: {' | '.join(EXPERIMENT_IDS)}", _one_of(*EXPERIMENT_IDS)),
+    _Key("experiment", "algorithms", "algorithms", _NAMES, "clmls",
+         "algorithms to run, each once", _each(_one_of(*sorted(ALGORITHMS))),
+         {"exp1": "lms, lmls, clms, clmls", "exp3": "l1-clms, l1-wclms, l1-clmls, l1-wclmls"}),
+    _Key("experiment", "filter_length", "filter_length", _INT, "10", "taps L",
+         _at_least(2), {"exp3": "30"}),
+    _Key("experiment", "horizon", "horizon", _INT, "5000",
+         "iterations per trial; exp3 splits them into three sparsity segments",
+         _at_least(1), {"exp3": "6000"}),
+    _Key("experiment", "trials", "trials", _INT, "500", "Monte-Carlo trials", _at_least(1)),
+    _Key("experiment", "base_seed", "base_seed", _INT, "1234",
+         "trial k uses seed base_seed + k", _at_least(0)),
+    _Key("experiment", "system_seed", "system_seed", _INT, "7",
+         "seed for drawing the unknown system", _at_least(0)),
+    _Key("params", "mu", "mu", _FLOAT, "0.05", "step size", _at_least(0), {"exp3": "0.01"}),
+    _Key("params", "alpha", "alpha", _FLOAT, "1.0", "logarithmic-cost design parameter",
+         _above(0)),
+    _Key("params", "l1_budget", "l1_budget", _FLOAT, "",
+         "blank: budget of the scenario optimum", _at_least(0)),
+    _Key("params", "beta_slope", "beta_slope", _FLOAT, "10.0", "arctan reweighting slope",
+         _above(0)),
+    _Key("scenario", "input", "input_kind", _TEXT, "white", "white | ar1",
+         _one_of("white", "ar1")),
+    _Key("scenario", "ar1_rho", "ar1_rho", _FLOAT, "0.5", "AR(1) input coefficient",
+         lambda v: None if -1 < v < 1 else "must lie strictly between -1 and 1"),
+    _Key("scenario", "sigma_v2", "sigma_v2", _FLOAT, "0.01",
+         "noise variance; mutually exclusive with snr_db_list", _at_least(0),
+         {"exp2-snr": None, "exp3": "0.1"}),
+    _Key("scenario", "snr_db_list", "snr_db_list", _FLOATS, None,
+         "one run point per SNR in dB; not with mu_list",
+         _each(lambda v: None if abs(v) <= 300 else "must lie within +-300 dB"),
+         {"exp2-snr": "30, 25, 20"}),
+    _Key("scenario", "mu_list", "mu_list", _FLOATS, None, "one run point per step size",
+         _each(_at_least(0)), {"exp2-mu": "0.03, 0.05, 0.1"}),
+    _Key("scenario", "constraint", "constraint", _TEXT, "linear-phase",
+         "linear-phase | dc-gain | none", _one_of("linear-phase", "dc-gain", "none"),
+         {"exp3": "dc-gain"}),
+    _Key("matching", "enabled", "matching", _BOOL, "false",
+         "match lms->lmls and clms->clmls plateaus", per_experiment={"exp1": "true"}),
+    _Key("matching", "bounds", "match_bounds", _PAIR, "1e-4, 0.5", "step-size search bracket",
+         lambda v: None if 0 < v[0] < v[1] else "must be an increasing positive pair"),
+    _Key("matching", "trials", "match_trials", _INT, "100", "trials per probe during matching",
+         _at_least(1)),
+    _Key("output", "dir", "out_dir", _TEXT, "results", "output directory"),
 )
 
-TEMPLATE = """\
-# confilt experiment configuration
-# every key is optional except [experiment] id; omitted keys fall back to
-# the documented default for the chosen experiment
-
-[experiment]
-id = exp1                  ; exp1 | exp2-snr | exp2-mu | exp3 | custom
-# algorithms = lms, lmls, clms, clmls
-#                            (exp2-*: clmls; exp3: l1-clms, l1-wclms, l1-clmls, l1-wclmls)
-# filter_length = 10         (exp3: 30)
-# horizon = 5000             (exp3: 6000, split into three sparsity segments)
-# trials = 500
-# base_seed = 1234           (trial k uses seed base_seed + k)
-# system_seed = 7            (seed for drawing the unknown system)
-
-[params]
-# mu = 0.05                  (exp3: 0.01)
-# alpha = 1.0                ; logarithmic-cost design parameter
-# l1_budget =                ; blank: budget of the scenario optimum
-# beta_slope = 10.0          ; arctan reweighting slope
-
-[scenario]
-# input = white              ; white | ar1
-# ar1_rho = 0.5
-# sigma_v2 = 0.01            (exp3: 0.1); mutually exclusive with snr_db_list
-# snr_db_list = 30, 25, 20   ; exp2-snr only
-# mu_list = 0.03, 0.05, 0.1  ; exp2-mu only
-# constraint = linear-phase  ; linear-phase | dc-gain | none (exp3: dc-gain)
-
-[matching]
-# enabled = true             ; exp1 default: match lms->lmls and clms->clmls plateaus
-# bounds = 1e-4, 0.5         ; step-size search bracket
-# trials = 100               ; trials per probe during matching
-
-[output]
-# dir = results
-"""
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(row.attr, Any) for row in _KEYS] + [("notes", list, field(default_factory=list, compare=False))],
+    namespace={"__doc__": "A resolved config: one field per row of `_KEYS`, plus the validate notes."},
+)
 
 
-def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+def _template() -> str:
+    lines = [
+        "# confilt experiment configuration",
+        "# every key is optional except [experiment] id; an omitted key takes the",
+        "# default listed under it for the chosen experiment, else the one on its line",
+    ]
+    for section, rows in groupby(_KEYS, lambda row: row.section):
+        lines += ["", f"[{section}]"]
+        for row in rows:
+            entry = "id = exp1" if row.key == "id" else f"# {row.key} = {row.default or ''}"
+            lines.append(f"{entry:<28} ; {row.help}")
+            lines += [f"#     {exp}: {'unset' if d is None else d}" for exp, d in row.per_experiment.items()]
+    return "\n".join(lines) + "\n"
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and resolve a config file; raises ConfigError on any problem."""
+def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """Parse and resolve a config file; raises ConfigError on any problem.
+
+    `overrides` maps ExperimentConfig fields to text that replaces the file's
+    value (the --seed, --trials and --out-dir flags).
+    """
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=str(path))
@@ -165,126 +241,65 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    def get(section, key, fallback=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key).strip() or None
-        return fallback
-
-    exp_id = get("experiment", "id")
-    if exp_id is None:
+    given = {}  # field -> (text, source)
+    for row in _KEYS:
+        text = parser.get(row.section, row.key, fallback="").strip()
+        if text:
+            given[row.attr] = (text, "file")
+    given.update((attr, (str(text), "command line")) for attr, text in (overrides or {}).items())
+    if "experiment" not in given:
         raise ConfigError(f"{path}: [experiment] id is required")
-    if exp_id not in EXPERIMENT_IDS:
-        raise ConfigError(
-            f"{path}: [experiment] id = {exp_id!r} is not one of {', '.join(EXPERIMENT_IDS)}"
-        )
-    defaults = dict(_GLOBAL_DEFAULTS)
-    defaults.update(_EXPERIMENT_DEFAULTS[exp_id])
-    applied = []
+    exp_id = given["experiment"][0]  # checked as the first row below
 
-    def resolve(section, key, conv, default_key=None, required=False):
-        raw = get(section, key)
-        if raw is not None:
-            try:
-                return conv(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
-        dkey = default_key or key
-        if dkey in defaults:
-            val = defaults[dkey]
-            applied.append(f"[{section}] {key} defaulted to {val}")
-            return conv(val) if isinstance(val, str) else val
-        if required:
-            raise ConfigError(f"{path}: [{section}] {key} is required for {exp_id}")
-        return None
+    values, sources = {}, {}
+    for row in _KEYS:
+        text, sources[row.attr] = given.get(row.attr, (row.default_for(exp_id), "default applied"))
+        anchor = f"{path}: [{row.section}] {row.key} = {text!r}"
+        if sources[row.attr] == "command line":
+            anchor += " from the command line"
+        try:
+            value = row.type.parse(text) if text else None
+        except ValueError as exc:
+            raise ConfigError(f"{anchor}: {exc}") from exc
+        problem = value is not None and row.check(value)
+        if problem:
+            raise ConfigError(f"{anchor}: {problem}")
+        values[row.attr] = value
 
-    as_bool = lambda s: str(s).strip().lower() in ("1", "true", "yes", "on")
-    algorithms = resolve("experiment", "algorithms", lambda s: [a.strip() for a in s.split(",") if a.strip()])
-    for name in algorithms:
-        if name not in ALGORITHMS:
-            raise ConfigError(
-                f"{path}: [experiment] algorithms: unknown algorithm {name!r}; "
-                f"valid names: {', '.join(sorted(ALGORITHMS))}"
-            )
-
-    sigma_raw = get("scenario", "sigma_v2")
-    snr_raw = get("scenario", "snr_db_list")
-    if sigma_raw is not None and snr_raw is not None:
-        raise ConfigError(
-            f"{path}: [scenario] sigma_v2 and snr_db_list are mutually exclusive"
-        )
-    if snr_raw is not None:
-        snr_db_list, sigma_v2 = _float_list(snr_raw), None
-    elif sigma_raw is not None:
-        snr_db_list, sigma_v2 = None, float(sigma_raw)
-    elif "snr_db_list" in defaults:
-        snr_db_list, sigma_v2 = _float_list(defaults["snr_db_list"]), None
-        applied.append(f"[scenario] snr_db_list defaulted to {defaults['snr_db_list']}")
-    else:
-        snr_db_list, sigma_v2 = None, float(defaults["sigma_v2"])
-        applied.append(f"[scenario] sigma_v2 defaulted to {defaults['sigma_v2']}")
-
-    mu_raw = get("scenario", "mu_list")
-    if mu_raw is not None:
-        mu_list = _float_list(mu_raw)
-    elif "mu_list" in defaults:
-        mu_list = _float_list(defaults["mu_list"])
-        applied.append(f"[scenario] mu_list defaulted to {defaults['mu_list']}")
-    else:
-        mu_list = None
-    if mu_list is not None and snr_db_list is not None:
+    if "sigma_v2" in given and "snr_db_list" in given:
+        raise ConfigError(f"{path}: [scenario] sigma_v2 and snr_db_list are mutually exclusive")
+    # a noise level given either way displaces the other's default
+    for attr, other in (("sigma_v2", "snr_db_list"), ("snr_db_list", "sigma_v2")):
+        if attr in given:
+            values[other] = None
+    if values["mu_list"] and values["snr_db_list"]:
         raise ConfigError(f"{path}: [scenario] mu_list and snr_db_list cannot be combined")
-
-    budget_raw = get("params", "l1_budget")
-    bounds = resolve("matching", "bounds", _float_list, default_key="match_bounds")
-    cfg = ExperimentConfig(
-        experiment=exp_id,
-        algorithms=algorithms,
-        filter_length=resolve("experiment", "filter_length", int),
-        horizon=resolve("experiment", "horizon", int),
-        trials=resolve("experiment", "trials", int),
-        base_seed=resolve("experiment", "base_seed", int),
-        system_seed=resolve("experiment", "system_seed", int),
-        mu=resolve("params", "mu", float),
-        alpha=resolve("params", "alpha", float),
-        l1_budget=float(budget_raw) if budget_raw is not None else None,
-        beta_slope=resolve("params", "beta_slope", float),
-        input_kind=resolve("scenario", "input", str, default_key="input_kind"),
-        ar1_rho=resolve("scenario", "ar1_rho", float),
-        sigma_v2=sigma_v2,
-        snr_db_list=snr_db_list,
-        mu_list=mu_list,
-        constraint=resolve("scenario", "constraint", str),
-        matching=resolve("matching", "enabled", as_bool, default_key="matching"),
-        match_bounds=tuple(bounds),
-        match_trials=resolve("matching", "trials", int, default_key="match_trials"),
-        out_dir=resolve("output", "dir", str, default_key="out_dir"),
-        applied_defaults=applied,
-    )
-    _validate_resolved(cfg, path)
-    return cfg
-
-
-def _validate_resolved(cfg: ExperimentConfig, path) -> None:
-    if cfg.filter_length < 2:
-        raise ConfigError(f"{path}: [experiment] filter_length must be >= 2")
-    if cfg.horizon < 1 or cfg.trials < 1:
-        raise ConfigError(f"{path}: [experiment] horizon and trials must be >= 1")
-    if cfg.mu < 0 or cfg.alpha <= 0 or cfg.beta_slope <= 0:
-        raise ConfigError(f"{path}: [params] mu >= 0, alpha > 0, beta_slope > 0 required")
-    if cfg.input_kind not in ("white", "ar1"):
-        raise ConfigError(f"{path}: [scenario] input must be white or ar1")
-    if cfg.constraint not in ("linear-phase", "dc-gain", "none"):
-        raise ConfigError(f"{path}: [scenario] constraint must be linear-phase, dc-gain or none")
-    if cfg.constraint == "none" and any(ALGORITHMS[a].constrained for a in cfg.algorithms):
+    for exp, attr in (("exp2-snr", "snr_db_list"), ("exp2-mu", "mu_list")):
+        if exp_id == exp and not values[attr]:
+            raise ConfigError(f"{path}: {exp} needs [scenario] {attr}")
+    # the sparsest exp3 segment zeroes round(0.9 L) taps: every one below L = 5
+    if exp_id == "exp3" and values["filter_length"] < 5:
+        raise ConfigError(
+            f"{path}: [experiment] filter_length = {values['filter_length']}: exp3 needs at least 5 taps"
+        )
+    if values["constraint"] == "none" and any(ALGORITHMS[a].constrained for a in values["algorithms"]):
         raise ConfigError(
             f"{path}: [scenario] constraint = none is incompatible with constrained algorithms"
         )
-    if cfg.experiment == "exp2-snr" and not cfg.snr_db_list:
-        raise ConfigError(f"{path}: exp2-snr needs snr_db_list")
-    if cfg.experiment == "exp2-mu" and not cfg.mu_list:
-        raise ConfigError(f"{path}: exp2-mu needs mu_list")
-    if not (0 < cfg.match_bounds[0] < cfg.match_bounds[1]):
-        raise ConfigError(f"{path}: [matching] bounds must be an increasing positive pair")
+
+    notes = [
+        f"{sources[row.attr]}: [{row.section}] {row.key} = {row.type.show(values[row.attr])}"
+        for row in _KEYS
+        if sources[row.attr] != "file" and values[row.attr] is not None
+    ]
+    known = {(row.section, row.key) for row in _KEYS}
+    notes += [
+        f"not read: [{section}] {key} is not a config key; ignored"
+        for section in parser.sections()
+        for key in parser.options(section)
+        if (section, key) not in known
+    ]
+    return ExperimentConfig(**values, notes=notes)
 
 
 def build_scenario(cfg: ExperimentConfig, sigma_v2: float) -> tuple[SignalModel, ConstraintSet | None]:
@@ -312,19 +327,13 @@ def build_scenario(cfg: ExperimentConfig, sigma_v2: float) -> tuple[SignalModel,
     return model, cs
 
 
-def _variants(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
-    """(label, sigma_v2, mu) per run point."""
+def _points(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
+    """(label, sigma_v2, mu) per run point; distinct list entries get distinct labels."""
     if cfg.snr_db_list:
-        return [(f"snr{snr:g}", noise_var_from_snr(snr), cfg.mu) for snr in cfg.snr_db_list]
+        return [(f"snr{_exact(snr)}", noise_var_from_snr(snr), cfg.mu) for snr in cfg.snr_db_list]
     if cfg.mu_list:
-        return [(f"mu{mu:g}", cfg.sigma_v2, mu) for mu in cfg.mu_list]
+        return [(f"mu{_exact(mu)}", cfg.sigma_v2, mu) for mu in cfg.mu_list]
     return [("", cfg.sigma_v2, cfg.mu)]
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -335,44 +344,24 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 
 
 def _config_echo(cfg: ExperimentConfig) -> str:
-    lines = [
-        "[experiment]",
-        f"id = {cfg.experiment}",
-        f"algorithms = {', '.join(cfg.algorithms)}",
-        f"filter_length = {cfg.filter_length}",
-        f"horizon = {cfg.horizon}",
-        f"trials = {cfg.trials}",
-        f"base_seed = {cfg.base_seed}",
-        f"system_seed = {cfg.system_seed}",
-        "",
-        "[params]",
-        f"mu = {_fmt(cfg.mu)}",
-        f"alpha = {_fmt(cfg.alpha)}",
-        f"l1_budget = {'' if cfg.l1_budget is None else _fmt(cfg.l1_budget)}",
-        f"beta_slope = {_fmt(cfg.beta_slope)}",
-        "",
-        "[scenario]",
-        f"input = {cfg.input_kind}",
-        f"ar1_rho = {_fmt(cfg.ar1_rho)}",
-    ]
-    if cfg.snr_db_list:
-        lines.append(f"snr_db_list = {', '.join(_fmt(s) for s in cfg.snr_db_list)}")
-    else:
-        lines.append(f"sigma_v2 = {_fmt(cfg.sigma_v2)}")
-    if cfg.mu_list:
-        lines.append(f"mu_list = {', '.join(_fmt(m) for m in cfg.mu_list)}")
-    lines += [
-        f"constraint = {cfg.constraint}",
-        "",
-        "[matching]",
-        f"enabled = {str(cfg.matching).lower()}",
-        f"bounds = {_fmt(cfg.match_bounds[0])}, {_fmt(cfg.match_bounds[1])}",
-        f"trials = {cfg.match_trials}",
-        "",
-        "[output]",
-        f"dir = {cfg.out_dir}",
-    ]
-    return "\n".join(lines)
+    blocks = []
+    for section, rows in groupby(_KEYS, lambda row: row.section):
+        lines = [f"[{section}]"]
+        for row in rows:
+            value = getattr(cfg, row.attr)
+            # an unset key is left out, unless blank is its default
+            if value is not None or row.default == "":
+                lines.append(f"{row.key} = {'' if value is None else row.type.show(value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)
+
+
+def _theory(model: SignalModel, cs: ConstraintSet, params: AlgorithmParams, horizon: int):
+    """(MSD / ||w_o||^2, EMSE) of the transient recursion, n = 0..horizon,
+    and the closed-form steady state."""
+    w_o = optimal_constrained_wiener(model, cs)
+    trace = transient_predictor(model, cs, params, np.zeros(model.n_taps), horizon)
+    return trace.msd / float(w_o @ w_o), trace.emse, steady_state_emse(model, cs, params)
 
 
 # reference partner for plateau matching: matched algorithm -> reference
@@ -381,90 +370,62 @@ _MATCH_PAIRS = {"lms": "lmls", "clms": "clmls"}
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    points = _points(cfg)
+    base = AlgorithmParams(mu=cfg.mu, alpha=cfg.alpha, t=cfg.l1_budget, beta_slope=cfg.beta_slope)
+    matched = {a for a in cfg.algorithms if cfg.matching and _MATCH_PAIRS.get(a) in cfg.algorithms}
+    # references first: a matched algorithm needs its partner's plateaus
+    run_order = sorted(cfg.algorithms, key=lambda a: (a in matched, a))
+    scenario, mus, results = {}, {}, {}  # by point; by (point, algorithm) for the last two
+
+    # the points of one noise level share model, constraint and trial seeds,
+    # so each algorithm runs them as one step-size sweep
+    for sigma_v2 in dict.fromkeys(p[1] for p in points):
+        group = [i for i, p in enumerate(points) if p[1] == sigma_v2]
+        model, cs = build_scenario(cfg, sigma_v2)
+        scenario.update((i, (model, cs)) for i in group)
+        for name in run_order:
+            for i in group:
+                mus[i, name] = points[i][2]
+                if name in matched:
+                    target = steady_state_plateau_db(results[i, _MATCH_PAIRS[name]])
+                    mus[i, name] = match_step_size(
+                        target, name, model, cfg.match_bounds, cs=cs, params=base,
+                        trials=cfg.match_trials, horizon=cfg.horizon, base_seed=cfg.base_seed,
+                    )
+            sweep = run_step_size_sweep(
+                model, name, base, [mus[i, name] for i in group], cfg.trials, cfg.horizon,
+                cfg.base_seed, cs=cs,
+            )
+            results.update(((i, name), res) for i, res in zip(group, sweep))
+
     summary: list[str] = [f"# confilt run summary: {cfg.experiment}", ""]
     theory_lines: list[str] = []
     csv_files: dict[str, str] = {}  # file name -> plot title
     theory_files: set[str] = set()
-
-    def is_matched(name: str) -> bool:
-        return cfg.matching and _MATCH_PAIRS.get(name) in cfg.algorithms
-
-    # the step sizes of mu_list share model, constraint and seeds, so each
-    # algorithm runs them as one sweep
-    swept: dict[str, list[RunResult]] = {}
-    if cfg.mu_list:
-        model, cs = build_scenario(cfg, cfg.sigma_v2)
-        params = AlgorithmParams(
-            mu=cfg.mu, alpha=cfg.alpha, t=cfg.l1_budget, beta_slope=cfg.beta_slope
-        )
+    want_theory = cfg.experiment in ("exp2-snr", "exp2-mu")
+    for i, (label, _, _) in enumerate(points):
+        model, cs = scenario[i]
         for name in cfg.algorithms:
-            if not is_matched(name):
-                swept[name] = run_step_size_sweep(
-                    model, name, params, cfg.mu_list, cfg.trials, cfg.horizon,
-                    cfg.base_seed, cs=cs,
-                )
-
-    for i, (label, sigma_v2, mu) in enumerate(_variants(cfg)):
-        model, cs = build_scenario(cfg, sigma_v2)
-        base_params = AlgorithmParams(
-            mu=mu, alpha=cfg.alpha, t=cfg.l1_budget, beta_slope=cfg.beta_slope
-        )
-
-        matched_mu: dict[str, float] = {}
-        plateau_ref: dict[str, float] = {}
-        results: dict[str, RunResult] = {}
-        run_order = sorted(
-            cfg.algorithms,
-            key=lambda a: (a in _MATCH_PAIRS and cfg.matching, a),
-        )
-        for name in run_order:
-            params = base_params
-            if is_matched(name):
-                target = plateau_ref[_MATCH_PAIRS[name]]
-                mu_hat = match_step_size(
-                    target, name, model, cfg.match_bounds, cs=cs,
-                    params=base_params, trials=cfg.match_trials,
-                    horizon=cfg.horizon, base_seed=cfg.base_seed,
-                )
-                matched_mu[name] = mu_hat
-                params = replace(base_params, mu=mu_hat)
-            if name in swept:
-                res = swept[name][i]
-            else:
-                res = run_monte_carlo(
-                    model, name, params, cfg.trials, cfg.horizon, cfg.base_seed, cs=cs
-                )
-            results[name] = res
-            plateau_ref[name] = steady_state_plateau_db(res)
-
-        want_theory = cfg.experiment in ("exp2-snr", "exp2-mu")
-        for name in cfg.algorithms:
-            res = results[name]
+            res, mu, tag = results[i, name], mus[i, name], _tag(name, label)
+            fname = f"{cfg.experiment}_{tag}.csv"
             header = ["iteration", "msd_db", "emse"]
             cols = [np.arange(cfg.horizon), res.msd_db, res.emse]
             if want_theory and name == "clmls" and cs is not None:
-                w_o = optimal_constrained_wiener(model, cs)
-                params_t = replace(base_params, mu=matched_mu.get(name, mu))
-                trace = transient_predictor(model, cs, params_t, np.zeros(cfg.filter_length), cfg.horizon)
-                norm = float(w_o @ w_o)
+                msd, emse, pred = _theory(model, cs, replace(base, mu=mu), cfg.horizon)
                 header += ["theory_msd_db", "theory_emse"]
-                cols += [np.asarray(ratio_to_db(trace.msd[: cfg.horizon] / norm)), trace.emse[: cfg.horizon]]
-                pred = steady_state_emse(model, cs, params_t)
+                cols += [np.asarray(ratio_to_db(msd[: cfg.horizon])), emse[: cfg.horizon]]
                 theory_lines.append(
-                    f"{_tag(name, label)}: emse_closed_form={_fmt(pred.emse)} "
+                    f"{tag}: emse_closed_form={_fmt(pred.emse)} "
                     f"msd_closed_form={_fmt(pred.msd)} beta={_fmt(pred.beta_factor)} "
                     f"discriminant={_fmt(pred.discriminant)} valid={pred.valid}"
                 )
-            fname = f"{cfg.experiment}_{_tag(name, label)}.csv"
-            _write_csv(out_dir / fname, header, cols)
-            csv_files[fname] = _tag(name, label)
-            if len(header) == 5:
                 theory_files.add(fname)
+            _write_csv(out_dir / fname, header, cols)
+            csv_files[fname] = tag
             summary.append(
-                f"{_tag(name, label)}: plateau_db={_fmt(plateau_ref[name])} "
+                f"{tag}: plateau_db={_fmt(steady_state_plateau_db(res))} "
                 f"emse_ss={_fmt(steady_state_emse_sim(res))} "
-                f"mu={_fmt(matched_mu.get(name, mu))}"
-                f"{' (matched)' if name in matched_mu else ''} "
+                f"mu={_fmt(mu)}{' (matched)' if name in matched else ''} "
                 f"diverged={res.diverged_trials} fallback_steps={res.fallback_steps} "
                 f"max_residual={_fmt(res.max_residual)}"
             )
@@ -504,21 +465,23 @@ def _write_plot_script(out_dir: Path, cfg, csv_files: dict[str, str], theory_fil
 
 
 def run_predict(cfg: ExperimentConfig, out_dir: Path) -> None:
-    variants = _variants(cfg)
-    if len(variants) != 1:
+    points = _points(cfg)
+    if len(points) != 1:
         raise ConfigError(
             "predict needs a single scenario point; drop snr_db_list/mu_list "
             "or reduce them to one entry"
         )
-    label, sigma_v2, mu = variants[0]
+    if cfg.experiment == "exp3":
+        raise ConfigError(
+            "[experiment] id = exp3: predict needs a fixed system, and exp3 "
+            "switches systems between its sparsity segments"
+        )
+    label, sigma_v2, mu = points[0]
     model, cs = build_scenario(cfg, sigma_v2)
     if cs is None:
         raise ConfigError("predict requires a constrained scenario")
     params = AlgorithmParams(mu=mu, alpha=cfg.alpha, t=cfg.l1_budget, beta_slope=cfg.beta_slope)
-    trace = transient_predictor(model, cs, params, np.zeros(cfg.filter_length), cfg.horizon)
-    pred = steady_state_emse(model, cs, params)
-    w_o = optimal_constrained_wiener(model, cs)
-    norm = float(w_o @ w_o)
+    msd, emse, pred = _theory(model, cs, params, cfg.horizon)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{cfg.experiment}_predict{('_' + label) if label else ''}.csv"
@@ -533,9 +496,9 @@ def run_predict(cfg: ExperimentConfig, out_dir: Path) -> None:
                 "for the asymptotic model); closed-form values are NaN\n"
             )
         fh.write("iteration,theory_msd_db,theory_emse\n")
-        msd_db = np.asarray(ratio_to_db(trace.msd / norm))
+        msd_db = np.asarray(ratio_to_db(msd))
         for n in range(cfg.horizon + 1):
-            fh.write(f"{n},{_fmt(float(msd_db[n]))},{_fmt(float(trace.emse[n]))}\n")
+            fh.write(f"{n},{_fmt(float(msd_db[n]))},{_fmt(float(emse[n]))}\n")
     print(f"wrote {path}")
 
 
@@ -545,12 +508,17 @@ def cmd_init(args) -> int:
         print(f"refusing to overwrite {path} (use --force)", file=sys.stderr)
         return EXIT_IO
     try:
-        path.write_text(TEMPLATE, encoding="utf-8")
+        path.write_text(_template(), encoding="utf-8")
     except OSError as exc:
         print(f"cannot write template: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"wrote template config to {path}")
     return EXIT_OK
+
+
+def _load_with_overrides(args) -> ExperimentConfig:
+    flags = {"base_seed": args.seed, "trials": args.trials, "out_dir": args.out_dir}
+    return load_config(args.config, {k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_validate(args) -> int:
@@ -560,20 +528,9 @@ def cmd_validate(args) -> int:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"config ok: experiment {cfg.experiment}, algorithms {', '.join(cfg.algorithms)}")
-    for note in cfg.applied_defaults:
-        print(f"  default applied: {note}")
+    for note in cfg.notes:
+        print(f"  {note}")
     return EXIT_OK
-
-
-def _load_with_overrides(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg.base_seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = args.trials
-    if getattr(args, "out_dir", None) is not None:
-        cfg.out_dir = args.out_dir
-    return cfg
 
 
 def cmd_run(args) -> int:
@@ -584,7 +541,7 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         run_experiment(cfg, Path(cfg.out_dir))
-    except (EnsembleDivergedError, StepSizeMatchError) as exc:
+    except (EnsembleDivergedError, StepSizeMatchError, DivergenceError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except OSError as exc:
@@ -601,6 +558,9 @@ def cmd_predict(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except DivergenceError as exc:
+        print(f"predict failed: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -616,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="path to the INI config")
-        p.add_argument("--seed", type=int, help="override base_seed")
-        p.add_argument("--trials", type=int, help="override trials")
+        p.add_argument("--seed", help="override base_seed")
+        p.add_argument("--trials", help="override trials")
         p.add_argument("--out-dir", help="override output directory")
 
     p_init = sub.add_parser("init", help="write a commented template config")

@@ -1,0 +1,252 @@
+"""The command-line runner: exit codes, config errors, the template and the
+config echo. Every run is short (horizon <= 300, at most 2 trials)."""
+
+import configparser
+from pathlib import Path
+
+import pytest
+
+from confilt import cli
+
+SHORT = "horizon = 200\nsystem_seed = 101\n"
+
+
+def write(tmp_path: Path, text: str, name: str = "config.ini") -> Path:
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def invoke(capsys, *argv) -> tuple[int, str, str]:
+    code = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def stub_matcher(monkeypatch):
+    """The step-size matcher is slow and misses exp1's plateau minimum at
+    short horizons; a stub returning a fixed step size exercises the rest of
+    the matched branch."""
+    monkeypatch.setattr(cli, "match_step_size", lambda target, name, *a, **k: 0.037)
+
+
+def test_run_writes_curves_summary_and_plot(tmp_path, capsys):
+    cfg = write(tmp_path, f"[experiment]\nid = custom\n{SHORT}")
+    out = tmp_path / "out"
+    code, stdout, _ = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", out)
+    assert code == cli.EXIT_OK
+    assert "experiment custom complete" in stdout
+    assert sorted(p.name for p in out.iterdir()) == ["custom_clmls.csv", "plot.gp", "summary.txt"]
+    rows = (out / "custom_clmls.csv").read_text().splitlines()
+    assert rows[0] == "iteration,msd_db,emse" and len(rows) == 201
+
+
+BAD_VALUES = {
+    "sigma-not-a-number": ("custom", "[scenario]\nsigma_v2 = abc\n", "[scenario] sigma_v2 = 'abc'"),
+    "snr-not-a-number": ("exp2-snr", "[scenario]\nsnr_db_list = 30, x\n", "[scenario] snr_db_list = '30, x'"),
+    "snr-out-of-range": ("exp2-snr", "[scenario]\nsnr_db_list = 5000\n", "[scenario] snr_db_list = '5000'"),
+    "mu-list-not-a-number": ("exp2-mu", "[scenario]\nmu_list = 0.1, y\n", "[scenario] mu_list = '0.1, y'"),
+    "budget-not-a-number": ("exp3", "[params]\nl1_budget = z\n", "[params] l1_budget = 'z'"),
+    "one-bound": ("exp1", "[matching]\nbounds = 0.1\n", "[matching] bounds = '0.1'"),
+    "three-bounds": ("exp1", "[matching]\nbounds = 0.1, 0.2, 0.3\n", "[matching] bounds = '0.1, 0.2, 0.3'"),
+    "bounds-decreasing": ("exp1", "[matching]\nbounds = 0.5, 0.1\n", "[matching] bounds = '0.5, 0.1'"),
+    "negative-sigma": ("custom", "[scenario]\nsigma_v2 = -0.1\n", "[scenario] sigma_v2 = '-0.1'"),
+    "negative-budget": ("exp3", "[params]\nl1_budget = -1\n", "[params] l1_budget = '-1'"),
+    "negative-mu-in-list": ("exp2-mu", "[scenario]\nmu_list = 0.1, -0.2\n", "[scenario] mu_list = '0.1, -0.2'"),
+    "rho-one": ("custom", "[scenario]\ninput = ar1\nar1_rho = 1\n", "[scenario] ar1_rho = '1'"),
+    "rho-below-minus-one": ("custom", "[scenario]\ninput = ar1\nar1_rho = -1.5\n", "[scenario] ar1_rho = '-1.5'"),
+    "no-match-trials": ("exp1", "[matching]\ntrials = 0\n", "[matching] trials = '0'"),
+    "misspelt-bool": ("exp1", "[matching]\nenabled = ture\n", "[matching] enabled = 'ture'"),
+    "no-algorithms": ("custom", "[experiment]\nalgorithms = ,\n", "[experiment] algorithms = ','"),
+    "algorithm-twice": ("custom", "[experiment]\nalgorithms = clmls, clmls\n", "[experiment] algorithms = 'clmls, clmls'"),
+    "unknown-algorithm": ("custom", "[experiment]\nalgorithms = clmls, foo\n", "[experiment] algorithms = 'clmls, foo'"),
+    "non-finite-mu": ("custom", "[params]\nmu = inf\n", "[params] mu = 'inf'"),
+    "negative-seed": ("custom", "[experiment]\nbase_seed = -1\n", "[experiment] base_seed = '-1'"),
+    "short-filter": ("custom", "[experiment]\nfilter_length = 1\n", "[experiment] filter_length = '1'"),
+    "exp3-too-short-for-sparsity": ("exp3", "[experiment]\nfilter_length = 4\n", "[experiment] filter_length"),
+    "unknown-input": ("custom", "[scenario]\ninput = pink\n", "[scenario] input = 'pink'"),
+    "sigma-and-snr": ("custom", "[scenario]\nsigma_v2 = 0.1\nsnr_db_list = 10\n", "[scenario] sigma_v2 and snr_db_list"),
+    "mu-list-and-snr": ("exp2-mu", "[scenario]\nsnr_db_list = 10\n", "[scenario] mu_list and snr_db_list"),
+    "exp2-snr-without-snr": ("exp2-snr", "[scenario]\nsigma_v2 = 0.1\n", "exp2-snr needs [scenario] snr_db_list"),
+    "unconstrained-clmls": ("custom", "[scenario]\nconstraint = none\n", "[scenario] constraint = none"),
+}
+
+
+@pytest.mark.parametrize("exp_id, extra, anchor", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_bad_value_is_an_anchored_config_error(tmp_path, capsys, exp_id, extra, anchor):
+    # a second [experiment] header would be a duplicate section, so extra
+    # [experiment] keys go under the first
+    head = f"[experiment]\nid = {exp_id}\n{SHORT}"
+    if extra.startswith("[experiment]\n"):
+        head, extra = head + extra.removeprefix("[experiment]\n"), ""
+    cfg = write(tmp_path, head + "\n" + extra)
+    code, _, err = invoke(capsys, "validate", "--config", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"invalid: {cfg}: {anchor}")
+    code, _, err = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"config error: {cfg}: {anchor}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_or_unknown_id(tmp_path, capsys):
+    code, _, err = invoke(capsys, "validate", "--config", write(tmp_path, f"[experiment]\n{SHORT}"))
+    assert code == cli.EXIT_CONFIG and "[experiment] id is required" in err
+    code, _, err = invoke(capsys, "validate", "--config", write(tmp_path, "[experiment]\nid = exp9\n"))
+    assert code == cli.EXIT_CONFIG and "[experiment] id = 'exp9': must be one of" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "two"])
+def test_trials_flag_is_validated_before_running(tmp_path, capsys, trials):
+    cfg = write(tmp_path, f"[experiment]\nid = custom\n{SHORT}")
+    code, _, err = invoke(capsys, "run", "--config", cfg, "--trials", trials, "--out-dir", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"config error: {cfg}: [experiment] trials = '{trials}' from the command line: ")
+
+
+def test_validate_names_the_source_of_each_value(tmp_path, capsys):
+    cfg = write(tmp_path, f"[experiment]\nid = custom\n{SHORT}")
+    code, out, _ = invoke(capsys, "validate", "--config", cfg, "--trials", 4, "--seed", 9)
+    assert code == cli.EXIT_OK
+    assert "  command line: [experiment] trials = 4\n" in out
+    assert "  command line: [experiment] base_seed = 9\n" in out
+    assert "  default applied: [experiment] system_seed" not in out  # given in the file
+    assert "  default applied: [params] mu = 0.05\n" in out
+    assert "trials = 500" not in out and "base_seed = 1234" not in out
+
+
+def test_validate_lists_unread_keys_and_still_passes(tmp_path, capsys):
+    cfg = write(tmp_path, f"[experiment]\nid = custom\nhorizn = 10\n{SHORT}\n[output]\nthreads = 1\n")
+    code, out, _ = invoke(capsys, "validate", "--config", cfg)
+    assert code == cli.EXIT_OK
+    assert "  not read: [experiment] horizn is not a config key; ignored\n" in out
+    assert "  not read: [output] threads is not a config key; ignored\n" in out
+    assert out.count("not read:") == 2
+
+
+def test_predict_on_a_switching_system_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, f"[experiment]\nid = exp3\n{SHORT}")
+    code, _, err = invoke(capsys, "predict", "--config", cfg, "--out-dir", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert "predict needs a fixed system" in err
+
+
+def test_all_trials_diverging_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "[experiment]\nid = custom\nhorizon = 200\n\n[params]\nmu = 1000\n")
+    code, _, err = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", tmp_path / "out")
+    assert code == cli.EXIT_DIVERGED
+    assert "run failed: all 2 trials of clmls at mu = 1000 diverged" in err
+
+
+def test_diverging_theory_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "[experiment]\nid = custom\nhorizon = 200\n\n[params]\nmu = 1000\n")
+    code, _, err = invoke(capsys, "predict", "--config", cfg, "--out-dir", tmp_path / "out")
+    assert code == cli.EXIT_DIVERGED
+    assert "predict failed: theory recursion diverged" in err
+
+
+def test_io_errors_exit_3(tmp_path, capsys):
+    cfg = write(tmp_path, f"[experiment]\nid = custom\n{SHORT}")
+    blocker = write(tmp_path, "not a directory", "file.txt")
+    code, _, err = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", blocker)
+    assert code == cli.EXIT_IO and err.startswith("i/o error:")
+    code, _, err = invoke(capsys, "init", "--config", cfg)
+    assert code == cli.EXIT_IO and "refusing to overwrite" in err
+    assert cfg.read_text() == f"[experiment]\nid = custom\n{SHORT}"
+    assert invoke(capsys, "init", "--config", cfg, "--force")[0] == cli.EXIT_OK
+
+
+def test_template_lists_every_key_with_its_defaults(tmp_path, capsys):
+    path = tmp_path / "template.ini"
+    assert invoke(capsys, "init", "--config", path)[0] == cli.EXIT_OK
+    text = path.read_text()
+    lines = text.splitlines()
+    for row in cli._KEYS:
+        if row.key == "id":
+            assert any(ln.startswith("id = exp1 ") for ln in lines)
+            continue
+        start = lines.index(f"[{row.section}]")
+        entry = next(i for i in range(start, len(lines)) if lines[i].startswith(f"# {row.key} = "))
+        assert lines[entry].split(";")[0].strip() == f"# {row.key} = {row.default or ''}".strip()
+        assert row.help in lines[entry]
+        below = lines[entry + 1: entry + 1 + len(row.per_experiment)]
+        for exp, value in row.per_experiment.items():
+            assert f"#     {exp}: {'unset' if value is None else value}" in below
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read_string(text)
+    assert parser.sections() == list(dict.fromkeys(row.section for row in cli._KEYS))
+
+
+def config_echo(summary: Path) -> str:
+    text = summary.read_text()
+    return text.split("[config-echo]\n", 1)[1]
+
+
+@pytest.mark.parametrize("exp_id", cli.EXPERIMENT_IDS)
+def test_init_validate_run_round_trip(tmp_path, capsys, monkeypatch, exp_id):
+    stub_matcher(monkeypatch)
+    path = tmp_path / "config.ini"
+    assert invoke(capsys, "init", "--config", path)[0] == cli.EXIT_OK
+    path.write_text(path.read_text().replace("id = exp1 ", f"id = {exp_id}\nhorizon = 300 ", 1))
+    assert invoke(capsys, "validate", "--config", path)[0] == cli.EXIT_OK
+    out = tmp_path / "out"
+    code, _, err = invoke(capsys, "run", "--config", path, "--trials", 2, "--out-dir", out)
+    assert code == cli.EXIT_OK, err
+    echo = write(tmp_path, config_echo(out / "summary.txt"), "echo.ini")
+    expected = cli.load_config(path, {"trials": "2", "out_dir": str(out)})
+    assert cli.load_config(echo) == expected
+    assert expected.experiment == exp_id and expected.horizon == 300 and expected.trials == 2
+
+
+def test_echo_keeps_every_digit(tmp_path):
+    cfg = write(tmp_path, f"[experiment]\nid = exp2-mu\n{SHORT}\n[scenario]\nmu_list = 0.1234567890123, 0.05\n")
+    loaded = cli.load_config(cfg)
+    echo = write(tmp_path, cli._config_echo(loaded), "echo.ini")
+    assert cli.load_config(echo) == loaded
+    assert "mu_list = 0.1234567890123, 0.05\n" in echo.read_text()
+
+
+def test_percent_sign_is_plain_text(tmp_path):
+    cfg = write(tmp_path, f"[experiment]\nid = custom\n{SHORT}\n[output]\ndir = runs/100%\n")
+    assert cli.load_config(cfg).out_dir == "runs/100%"
+
+
+def test_each_scenario_is_built_once_and_swept(tmp_path, capsys, monkeypatch):
+    builds, sweeps = [], []
+    build, sweep = cli.build_scenario, cli.run_step_size_sweep
+    monkeypatch.setattr(cli, "build_scenario", lambda *a: builds.append(a[1]) or build(*a))
+    monkeypatch.setattr(cli, "run_step_size_sweep", lambda *a, **k: sweeps.append(a[3]) or sweep(*a, **k))
+    stub_matcher(monkeypatch)
+    cfg = write(tmp_path, f"[experiment]\nid = exp2-mu\nalgorithms = clmls, clms\n{SHORT}\n[matching]\nenabled = true\n")
+    code, _, _ = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", tmp_path / "mu")
+    assert code == cli.EXIT_OK
+    assert builds == [0.01]
+    assert sweeps == [[0.03, 0.05, 0.1], [0.037] * 3]
+    summary = (tmp_path / "mu" / "summary.txt").read_text()
+    assert "clms_mu0.05: " in summary and "mu=0.037 (matched)" in summary
+
+    builds.clear(), sweeps.clear()
+    cfg = write(tmp_path, f"[experiment]\nid = exp2-snr\n{SHORT}")
+    code, _, _ = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", tmp_path / "snr")
+    assert code == cli.EXIT_OK
+    assert len(builds) == 3 and sweeps == [[0.05]] * 3
+
+
+def test_echo_layout(tmp_path):
+    cfg = write(tmp_path, f"[experiment]\nid = exp2-snr\n{SHORT}")
+    assert cli._config_echo(cli.load_config(cfg)) == (
+        "[experiment]\nid = exp2-snr\nalgorithms = clmls\nfilter_length = 10\nhorizon = 200\n"
+        "trials = 500\nbase_seed = 1234\nsystem_seed = 101\n\n"
+        "[params]\nmu = 0.05\nalpha = 1\nl1_budget = \nbeta_slope = 10\n\n"
+        "[scenario]\ninput = white\nar1_rho = 0.5\nsnr_db_list = 30, 25, 20\nconstraint = linear-phase\n\n"
+        "[matching]\nenabled = false\nbounds = 0.0001, 0.5\ntrials = 100\n\n"
+        "[output]\ndir = results"
+    )
+
+
+def test_close_step_sizes_get_their_own_files(tmp_path, capsys):
+    cfg = write(tmp_path, "[experiment]\nid = exp2-mu\nhorizon = 50\n\n[scenario]\nmu_list = 0.1, 0.1000001\n")
+    out = tmp_path / "out"
+    assert invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", out)[0] == cli.EXIT_OK
+    assert sorted(p.name for p in out.glob("*.csv")) == ["exp2-mu_clmls_mu0.1.csv", "exp2-mu_clmls_mu0.1000001.csv"]
