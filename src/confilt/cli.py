@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass, field, make_dataclass, replace
 from itertools import groupby
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .simulation import (
     steady_state_plateau_db,
     white_signal_model,
 )
-from .theory import steady_state_emse, transient_predictor
+from .theory import steady_state_emse, transient_predictor, transient_sweep
 
 EXPERIMENT_IDS = ("exp1", "exp2-snr", "exp2-mu", "exp3", "custom")
 
@@ -336,11 +336,18 @@ def _points(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
     return [("", cfg.sigma_v2, cfg.mu)]
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray], preamble: Sequence[str] = ()) -> None:
+    """Write the `preamble` lines, the header and one row per index of
+    `columns`, each value as `_fmt` writes it (integers in full, floats to 12
+    significant digits) through one %-format per row."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(f"{line}\n" for line in [*preamble, ",".join(header)])
+        # 1024 rows at a time: all of them as Python objects would raise peak memory
+        for start in range(0, len(columns[0]), 1024):
+            chunk = zip(*(c[start : start + 1024].tolist() for c in columns))
+            fh.writelines(row % values for values in chunk)
 
 
 def _config_echo(cfg: ExperimentConfig) -> str:
@@ -356,14 +363,6 @@ def _config_echo(cfg: ExperimentConfig) -> str:
     return "\n\n".join(blocks)
 
 
-def _theory(model: SignalModel, cs: ConstraintSet, params: AlgorithmParams, horizon: int):
-    """(MSD / ||w_o||^2, EMSE) of the transient recursion, n = 0..horizon,
-    and the closed-form steady state."""
-    w_o = optimal_constrained_wiener(model, cs)
-    trace = transient_predictor(model, cs, params, np.zeros(model.n_taps), horizon)
-    return trace.msd / float(w_o @ w_o), trace.emse, steady_state_emse(model, cs, params)
-
-
 # reference partner for plateau matching: matched algorithm -> reference
 _MATCH_PAIRS = {"lms": "lmls", "clms": "clmls"}
 
@@ -375,14 +374,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
     matched = {a for a in cfg.algorithms if cfg.matching and _MATCH_PAIRS.get(a) in cfg.algorithms}
     # references first: a matched algorithm needs its partner's plateaus
     run_order = sorted(cfg.algorithms, key=lambda a: (a in matched, a))
-    scenario, mus, results = {}, {}, {}  # by point; by (point, algorithm) for the last two
+    want_theory = cfg.experiment in ("exp2-snr", "exp2-mu") and "clmls" in cfg.algorithms
+    mus, results = {}, {}  # by (point, algorithm)
+    theory = {}  # by point: (transient trace, closed form, ||w_o||^2)
 
     # the points of one noise level share model, constraint and trial seeds,
-    # so each algorithm runs them as one step-size sweep
+    # so each algorithm runs them as one step-size sweep, and the theory as
+    # one recursion over clmls's step sizes
     for sigma_v2 in dict.fromkeys(p[1] for p in points):
         group = [i for i, p in enumerate(points) if p[1] == sigma_v2]
         model, cs = build_scenario(cfg, sigma_v2)
-        scenario.update((i, (model, cs)) for i in group)
         for name in run_order:
             for i in group:
                 mus[i, name] = points[i][2]
@@ -397,29 +398,42 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
                 cfg.base_seed, cs=cs,
             )
             results.update(((i, name), res) for i, res in zip(group, sweep))
+        if want_theory:
+            group_mus = [mus[i, "clmls"] for i in group]
+            traces = transient_sweep(model, cs, base, group_mus, np.zeros(model.n_taps), cfg.horizon)
+            w_o = optimal_constrained_wiener(model, cs)
+            for i, mu, trace in zip(group, group_mus, traces):
+                theory[i] = trace, steady_state_emse(model, cs, replace(base, mu=mu)), float(w_o @ w_o)
 
     summary: list[str] = [f"# confilt run summary: {cfg.experiment}", ""]
     theory_lines: list[str] = []
     csv_files: dict[str, str] = {}  # file name -> plot title
     theory_files: set[str] = set()
-    want_theory = cfg.experiment in ("exp2-snr", "exp2-mu")
     for i, (label, _, _) in enumerate(points):
-        model, cs = scenario[i]
         for name in cfg.algorithms:
             res, mu, tag = results[i, name], mus[i, name], _tag(name, label)
             fname = f"{cfg.experiment}_{tag}.csv"
             header = ["iteration", "msd_db", "emse"]
             cols = [np.arange(cfg.horizon), res.msd_db, res.emse]
-            if want_theory and name == "clmls" and cs is not None:
-                msd, emse, pred = _theory(model, cs, replace(base, mu=mu), cfg.horizon)
-                header += ["theory_msd_db", "theory_emse"]
-                cols += [np.asarray(ratio_to_db(msd[: cfg.horizon])), emse[: cfg.horizon]]
-                theory_lines.append(
+            if name == "clmls" and i in theory:
+                trace, pred, w_o2 = theory[i]
+                line = (
                     f"{tag}: emse_closed_form={_fmt(pred.emse)} "
                     f"msd_closed_form={_fmt(pred.msd)} beta={_fmt(pred.beta_factor)} "
                     f"discriminant={_fmt(pred.discriminant)} valid={pred.valid}"
                 )
-                theory_files.add(fname)
+                if trace.diverged_at is None:
+                    header += ["theory_msd_db", "theory_emse"]
+                    cols += [np.asarray(ratio_to_db(trace.msd[: cfg.horizon] / w_o2)), trace.emse[: cfg.horizon]]
+                    theory_files.add(fname)
+                else:
+                    line += f" transient_diverged_at={trace.diverged_at}"
+                    print(
+                        f"warning: {tag}: theory recursion diverged at iteration "
+                        f"{trace.diverged_at}; {fname} has no theory columns",
+                        file=sys.stderr,
+                    )
+                theory_lines.append(line)
             _write_csv(out_dir / fname, header, cols)
             csv_files[fname] = tag
             summary.append(
@@ -481,24 +495,28 @@ def run_predict(cfg: ExperimentConfig, out_dir: Path) -> None:
     if cs is None:
         raise ConfigError("predict requires a constrained scenario")
     params = AlgorithmParams(mu=mu, alpha=cfg.alpha, t=cfg.l1_budget, beta_slope=cfg.beta_slope)
-    msd, emse, pred = _theory(model, cs, params, cfg.horizon)
+    w_o = optimal_constrained_wiener(model, cs)
+    trace = transient_predictor(model, cs, params, np.zeros(model.n_taps), cfg.horizon)
+    pred = steady_state_emse(model, cs, params)
 
+    preamble = [
+        f"# steady_state_emse = {_fmt(pred.emse)}",
+        f"# steady_state_msd = {_fmt(pred.msd)}",
+        f"# beta_factor = {_fmt(pred.beta_factor)}",
+        f"# discriminant = {_fmt(pred.discriminant)}",
+    ]
+    if not pred.valid:
+        preamble.append(
+            "# warning: invalid-regime discriminant (step size too large "
+            "for the asymptotic model); closed-form values are NaN"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{cfg.experiment}_predict{('_' + label) if label else ''}.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# steady_state_emse = {_fmt(pred.emse)}\n")
-        fh.write(f"# steady_state_msd = {_fmt(pred.msd)}\n")
-        fh.write(f"# beta_factor = {_fmt(pred.beta_factor)}\n")
-        fh.write(f"# discriminant = {_fmt(pred.discriminant)}\n")
-        if not pred.valid:
-            fh.write(
-                "# warning: invalid-regime discriminant (step size too large "
-                "for the asymptotic model); closed-form values are NaN\n"
-            )
-        fh.write("iteration,theory_msd_db,theory_emse\n")
-        msd_db = np.asarray(ratio_to_db(msd))
-        for n in range(cfg.horizon + 1):
-            fh.write(f"{n},{_fmt(float(msd_db[n]))},{_fmt(float(emse[n]))}\n")
+    _write_csv(
+        path, ["iteration", "theory_msd_db", "theory_emse"],
+        [np.arange(cfg.horizon + 1), np.asarray(ratio_to_db(trace.msd / float(w_o @ w_o))), trace.emse],
+        preamble,
+    )
     print(f"wrote {path}")
 
 

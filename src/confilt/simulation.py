@@ -25,6 +25,12 @@ neighbours; the cube of the log-cost kernel is C ``pow``, as in Python's
 per-sample loop whatever else shares its pass, and ensembles are reduced in
 trial order, so results are reproducible bit for bit for a given
 (config, base_seed).
+
+The step loop takes its views of the history, inputs and desired signal
+once per pass, and the non-sparse steps write their temporaries (w . u,
+mu g(e), w + mu g(e) u and its projection) into buffers reused from step to
+step. Each buffer has the layout of the temporary it replaces, so numpy
+makes the same calls and the rows keep their bits.
 """
 
 from __future__ import annotations
@@ -302,12 +308,13 @@ _cube = np.frompyfunc(math.pow, 2, 1)
 def _log_kernel_rows(e: np.ndarray, alpha: float) -> np.ndarray:
     """`error_nonlinearity` elementwise, with the same roundings."""
     x = alpha * e * e
+    # x < 1 implies the |e| < 1e100 guard unless alpha is tiny; a NaN max
+    # fails the test
+    if alpha >= 1e-199 and np.maximum.reduce(x, axis=None) < 1.0:
+        return alpha * _cube(e, 3.0).astype(float) / (1.0 + x)
     cubic = x < 1.0
     if alpha < 1e-199:
-        # otherwise x < 1 already implies the |e| < 1e100 guard
         cubic &= np.abs(e) < 1e100
-    if cubic.all():
-        return alpha * _cube(e, 3.0).astype(float) / (1.0 + x)
     g = e * (x / (1.0 + x))
     if cubic.any():
         g[cubic] = alpha * _cube(e[cubic], 3.0).astype(float) / (1.0 + x[cubic])
@@ -349,24 +356,36 @@ def _run_rows(
     if spec.constrained:
         P, f = cs.P, cs.f
         w0 = P @ w0 + f
-    hist = np.empty((horizon + 1, T, len(mus), L))  # hist[n] = w(n)
+    n_mu = len(mus)
+    hist = np.empty((horizon + 1, T, n_mu, L))  # hist[n] = w(n)
     hist[0] = w0
-    errors = np.empty((horizon, T, len(mus)))
+    errors = np.empty((horizon, T, n_mu))
     degenerate = np.zeros(errors.shape, dtype=bool)  # P s vanished at step n
     seg_of = np.searchsorted(starts, np.arange(horizon), side="right") - 1
     alpha, beta = params.alpha, params.beta_slope
+
+    # views taken once per pass, indexed [n] in the loop
+    w_rows = hist[..., None, :]  # (T, mus, 1, L): w(n) as row vectors
+    u_rows = U[:, :, None, :]  # (T, 1, L)
+    u_cols = U[:, :, None, :, None]  # (T, 1, L, 1)
+    d_rows = D[..., None]  # (T, 1)
+    # buffers reused by every step, laid out like the temporaries they replace
+    wu = np.empty((T, n_mu, 1, 1))  # w(n) . u(n)
+    step = np.empty((T, n_mu, 1))  # mu g(e)
+    moved = np.empty((T, n_mu, L))  # w + mu g(e) u
+    projected = np.empty((T, n_mu, L, 1))  # P (w + mu g(e) u)
+    wu_rows, step_rows = wu[..., 0, 0], step[..., 0]
+    moved_cols, projected_rows = moved[..., None], projected[..., 0]
 
     # a row whose error turns non-finite has diverged: it keeps running on
     # inf/nan, and its steps from then on are ignored after the loop
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(horizon):
-            W, u = hist[n], U[n]
-            u_rows = u[:, None, :]
-            e = np.subtract(
-                D[n][:, None], (W[..., None, :] @ u[:, None, :, None])[..., 0, 0], out=errors[n]
-            )
+            W = hist[n]
+            np.matmul(w_rows[n], u_cols[n], out=wu)
+            e = np.subtract(d_rows[n], wu_rows, out=errors[n])
             g = _log_kernel_rows(e, alpha) if spec.log_kernel else e
-            step = (mus * g)[..., None]
+            np.multiply(mus, g, out=step_rows)
             if spec.sparse:
                 if spec.reweighted:
                     s = (2.0 * beta / math.pi) * np.sign(W) / (beta * beta * W * W + 1.0)
@@ -377,19 +396,21 @@ def _run_rows(
                 Ps = (P @ s[..., None])[..., 0]
                 ps2 = (Ps[..., None, :] @ Ps[..., None])[..., 0, 0]
                 q = Ps / ps2[..., None]
-                Pu = (P @ u[..., None])[..., 0]
-                p_prime_u = Pu[:, None, :] - q * (Ps[..., None, :] @ u[:, None, :, None])[..., 0]
+                Pu = (P @ U[n][..., None])[..., 0]
+                p_prime_u = Pu[:, None, :] - q * (Ps[..., None, :] @ u_cols[n])[..., 0]
                 f_l1 = (seg_params[seg_of[n]].t - t_now)[..., None] * q
                 w_next = (P @ (W + step * p_prime_u)[..., None])[..., 0] + f + f_l1
                 # rows whose P s vanished take the non-sparse step
                 if np.less(ps2, _DEGENERATE_PS2, out=degenerate[n]).any():
-                    plain = (P @ (W + step * u_rows)[..., None])[..., 0] + f
+                    plain = (P @ (W + step * u_rows[n])[..., None])[..., 0] + f
                     w_next = np.where(degenerate[n][..., None], plain, w_next)
                 hist[n + 1] = w_next
             elif spec.constrained:
-                np.add((P @ (W + step * u_rows)[..., None])[..., 0], f, out=hist[n + 1])
+                np.add(W, np.multiply(step, u_rows[n], out=moved), out=moved)
+                np.matmul(P, moved_cols, out=projected)
+                np.add(projected_rows, f, out=hist[n + 1])
             else:
-                np.add(W, step * u_rows, out=hist[n + 1])
+                np.add(W, np.multiply(step, u_rows[n], out=moved), out=hist[n + 1])
 
         # first non-finite error; or finite errors throughout but non-finite
         # final weights
@@ -411,7 +432,7 @@ def _run_rows(
         dev = np.subtract(w_opt[:, None, None, :], hist[:horizon], out=hist[:horizon])
         norms = np.array([float(w @ w) for w in optima])[seg_of]
         msd_ratio = (dev[..., None, :] @ dev[..., None])[..., 0, 0] / norms[:, None, None]
-        ea = (dev[..., None, :] @ U[:, :, None, :, None])[..., 0, 0]
+        ea = (dev[..., None, :] @ u_cols)[..., 0, 0]
         ea2 = ea * ea
     ok = (diverged_at < 0)[..., None]
     return _Rows(

@@ -6,9 +6,21 @@ current weights, confined to range(P)) follows the L x L recursion
     Phi(n+1) = Phi - mu h_G(n) (Phi M + M Phi) + mu^2 h_U(n) M,    M = P R P,
 
 with msd(n) = trace(Phi(n)), emse(n) = trace(R Phi(n)); it is the symmetric
-part of the L^2 x L^2 map built by `variance_transition`. The moment
-functionals of g(e) = alpha e^3 / (1 + alpha e^2) for zero-mean Gaussian e of
-variance sigma_e^2(n) = emse(n) + sigma_v^2 (Al-Naffouri & Sayed, 2003),
+part of the L^2 x L^2 map built by `variance_transition`, which stays as the
+test oracle. `transient_sweep` steps it in the eigenbasis of M = Q Lambda Q^T
+(one `eigh` per sweep), where it is elementwise: Psi = Q^T Phi Q follows
+
+    Psi_ij <- Psi_ij (1 - mu h_G (lambda_i + lambda_j)) + mu^2 h_U lambda_i [i = j],
+
+with emse = <Q^T R Q, Psi>, msd = trace(Psi), and Phi = Q Psi Q^T rebuilt
+once, at the end. A sweep steps every step size at once, one row each;
+rows share no arithmetic (elementwise updates, and one small readout
+product per row instead of one matrix product over all rows), so a row is
+bit-identical to its step size run alone.
+
+The moment functionals of g(e) = alpha e^3 / (1 + alpha e^2) for zero-mean
+Gaussian e of variance sigma_e^2(n) = emse(n) + sigma_v^2 (Al-Naffouri &
+Sayed, 2003),
 
     h_G = E[e g(e)] / E[e^2] = 1 - (1 - sqrt(pi) x erfcx(x)) / a,
     h_U = E[g^2(e)] = sigma_e^2 [(h_G - 3a)/(2a) + 5 h_G/2]      (Stein's identity),
@@ -71,6 +83,8 @@ class TheoryTrace:
     msd: np.ndarray  # E||wt(n)||^2, n = 0..N
     emse: np.ndarray  # E||wt(n)||^2_R, n = 0..N
     weight_correlation: np.ndarray  # Phi(N), L x L
+    # first iteration whose msd or emse was non-finite; None if none was
+    diverged_at: int | None = None
 
 
 @dataclass(frozen=True)
@@ -150,8 +164,8 @@ def variance_transition(
 
     Returns (F, drive) with F = I - 2 mu hG kron((P R P)^T, I) and
     drive = mu^2 hU vec(P R P), so that for any weighting matrix S,
-    unvec(F @ vec(S)) == S - 2 mu hG S (P R P). The reference for the L x L
-    recursion of `transient_predictor`.
+    unvec(F @ vec(S)) == S - 2 mu hG S (P R P). The test oracle for the
+    recursion of `transient_sweep`.
     """
     R = np.asarray(R, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -164,6 +178,87 @@ def variance_transition(
     return F, (mu * mu * hU) * gamma
 
 
+def transient_sweep(
+    scenario: SignalModel,
+    cs: ConstraintSet,
+    params: AlgorithmParams,
+    mus,
+    w0: np.ndarray,
+    N: int,
+) -> list[TheoryTrace]:
+    """Iterate the variance recursion from w(0) = w0 for N steps at each step
+    size in `mus` (params.mu is not used), all at once in M's eigenbasis.
+
+    The initial deviation is projected onto range(P), matching the
+    feasible-start convention of the simulations. Each trace holds
+    msd(n) = trace(Phi) and emse(n) = trace(R Phi) for n = 0..N and does not
+    depend on the other step sizes. A row whose msd or emse turns non-finite
+    at iteration n stops there: its trace records diverged_at = n, its
+    curves are NaN from n on, and the other rows run on.
+    """
+    if N < 1:
+        raise ValueError(f"need at least one iteration, got N={N}")
+    mus = [float(mu) for mu in mus]
+    if not mus:
+        raise ValueError("need at least one step size")
+    R = scenario.R
+    w_o = optimal_constrained_wiener(scenario, cs)
+    lam, Q = np.linalg.eigh(cs.P @ R @ cs.P)
+    x0 = Q.T @ (cs.P @ (w_o - np.asarray(w0, dtype=float)))
+    L, B = len(lam), len(mus)
+    lam_sum = (lam[:, None] + lam).ravel()  # lambda_i + lambda_j
+    lam_diag = np.diag(lam).ravel()
+    # psi . read[:, 0] = <Q^T R Q, Psi> = emse, psi . read[:, 1] = trace(Psi) = msd
+    read = np.stack([(Q.T @ R @ Q).ravel(), np.eye(L).ravel()], axis=1)
+
+    psi = np.tile(np.outer(x0, x0).ravel(), (B, 1))  # row b: vec(Psi) at mus[b]
+    psi_rows = psi[:, None, :]
+    curves = np.empty((N + 1, B, 1, 2))  # [n, b, 0] = (emse, msd)
+    gain, drive = np.zeros(B), np.zeros(B)  # mu h_G and mu^2 h_U sigma_e^2 per row
+    gain_col, drive_col = gain[:, None], drive[:, None]
+    decay, forced = np.empty_like(psi), np.empty_like(psi)
+    diverged_at: list[int | None] = [None] * B
+    active = list(range(B))
+    alpha, sv2 = params.alpha, scenario.sigma_v2
+    # divergence is detected through the readout; silence the transient
+    # inf/nan arithmetic that precedes it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N + 1):
+            # one small product per row, so a row's rounding is its own
+            rows = np.matmul(psi_rows, read, out=curves[n]).tolist()
+            for b in list(active):
+                ((emse_n, msd_n),) = rows[b]
+                if not (math.isfinite(emse_n) and math.isfinite(msd_n)):
+                    # frozen from here: a unit decay and no drive
+                    diverged_at[b] = n
+                    active.remove(b)
+                    gain[b] = drive[b] = 0.0
+                    continue
+                se2 = max(emse_n, 0.0) + sv2
+                hg, hu = _kernel_moments(alpha * se2)
+                gain[b] = mus[b] * hg
+                drive[b] = mus[b] * mus[b] * hu * se2
+            if n == N or not active:
+                break
+            # Psi <- Psi o (1 - mu h_G (lambda_i + lambda_j)) + mu^2 h_U sigma_e^2 Lambda
+            np.subtract(1.0, np.multiply(gain_col, lam_sum, out=decay), out=decay)
+            psi *= decay
+            psi += np.multiply(drive_col, lam_diag, out=forced)
+
+    traces = []
+    for b in range(B):
+        if diverged_at[b] is not None:
+            curves[diverged_at[b]:, b] = np.nan
+        phi = Q @ psi[b].reshape(L, L) @ Q.T
+        traces.append(TheoryTrace(
+            msd=curves[:, b, 0, 1].copy(),
+            emse=curves[:, b, 0, 0].copy(),
+            weight_correlation=0.5 * (phi + phi.T),
+            diverged_at=diverged_at[b],
+        ))
+    return traces
+
+
 def transient_predictor(
     scenario: SignalModel,
     cs: ConstraintSet,
@@ -171,45 +266,18 @@ def transient_predictor(
     w0: np.ndarray,
     N: int,
 ) -> TheoryTrace:
-    """Iterate the L x L variance recursion from w(0) = w0 for N steps.
+    """Iterate the variance recursion from w(0) = w0 for N steps at params.mu.
 
-    The initial deviation is projected onto range(P), matching the
-    feasible-start convention of the simulations. Emits msd(n) = trace(Phi)
-    and emse(n) = trace(R Phi) for n = 0..N.
+    The one-step-size case of `transient_sweep`; raises DivergenceError
+    (with the iteration) where that would record diverged_at.
     """
-    if N < 1:
-        raise ValueError(f"need at least one iteration, got N={N}")
-    R = scenario.R
-    w_o = optimal_constrained_wiener(scenario, cs)
-    wt0 = cs.P @ (w_o - np.asarray(w0, dtype=float))
-    phi = np.outer(wt0, wt0)
-
-    M = cs.P @ R @ cs.P
-    mu, alpha = params.mu, params.alpha
-    sv2 = scenario.sigma_v2
-
-    msd = np.empty(N + 1)
-    emse = np.empty(N + 1)
-    # divergence is detected through the trace check; silence the transient
-    # inf/nan arithmetic that precedes it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(N + 1):
-            emse_n = float(np.vdot(R, phi))  # trace(R Phi), both symmetric
-            msd_n = float(np.trace(phi))
-            if not (np.isfinite(emse_n) and np.isfinite(msd_n)):
-                raise DivergenceError(
-                    f"theory recursion diverged at iteration {n}", iteration=n
-                )
-            msd[n] = msd_n
-            emse[n] = emse_n
-            if n == N:
-                break
-            se2 = max(emse_n, 0.0) + sv2
-            hg, hu = _kernel_moments(alpha * se2)
-            # Phi M + M Phi == A + A^T, which keeps Phi exactly symmetric
-            A = phi @ M
-            phi = phi - (mu * hg) * (A + A.T) + (mu * mu * hu * se2) * M
-    return TheoryTrace(msd=msd, emse=emse, weight_correlation=phi)
+    (trace,) = transient_sweep(scenario, cs, params, [params.mu], w0, N)
+    if trace.diverged_at is not None:
+        raise DivergenceError(
+            f"theory recursion diverged at iteration {trace.diverged_at}",
+            iteration=trace.diverged_at,
+        )
+    return trace
 
 
 def steady_state_emse(

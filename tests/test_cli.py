@@ -4,6 +4,7 @@ config echo. Every run is short (horizon <= 300, at most 2 trials)."""
 import configparser
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from confilt import cli
@@ -213,24 +214,93 @@ def test_percent_sign_is_plain_text(tmp_path):
 
 
 def test_each_scenario_is_built_once_and_swept(tmp_path, capsys, monkeypatch):
-    builds, sweeps = [], []
-    build, sweep = cli.build_scenario, cli.run_step_size_sweep
+    builds, sweeps, theories = [], [], []
+    build, sweep, theory = cli.build_scenario, cli.run_step_size_sweep, cli.transient_sweep
     monkeypatch.setattr(cli, "build_scenario", lambda *a: builds.append(a[1]) or build(*a))
     monkeypatch.setattr(cli, "run_step_size_sweep", lambda *a, **k: sweeps.append(a[3]) or sweep(*a, **k))
+    monkeypatch.setattr(cli, "transient_sweep", lambda *a: theories.append((a[0].sigma_v2, a[3])) or theory(*a))
     stub_matcher(monkeypatch)
     cfg = write(tmp_path, f"[experiment]\nid = exp2-mu\nalgorithms = clmls, clms\n{SHORT}\n[matching]\nenabled = true\n")
     code, _, _ = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", tmp_path / "mu")
     assert code == cli.EXIT_OK
     assert builds == [0.01]
     assert sweeps == [[0.03, 0.05, 0.1], [0.037] * 3]
+    assert theories == [(0.01, [0.03, 0.05, 0.1])]
     summary = (tmp_path / "mu" / "summary.txt").read_text()
     assert "clms_mu0.05: " in summary and "mu=0.037 (matched)" in summary
 
-    builds.clear(), sweeps.clear()
+    builds.clear(), sweeps.clear(), theories.clear()
     cfg = write(tmp_path, f"[experiment]\nid = exp2-snr\n{SHORT}")
     code, _, _ = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", tmp_path / "snr")
     assert code == cli.EXIT_OK
     assert len(builds) == 3 and sweeps == [[0.05]] * 3
+    assert theories == [(sigma_v2, [0.05]) for sigma_v2 in builds]
+
+
+def test_diverging_theory_point_is_reported_not_fatal(tmp_path, capsys):
+    # the simulation at mu = 3 finishes (diverged=0); its recursion does not
+    cfg = write(tmp_path, "[experiment]\nid = exp2-mu\nhorizon = 200\n\n[scenario]\nmu_list = 0.05, 3\n")
+    out = tmp_path / "out"
+    code, _, err = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", out)
+    assert code == cli.EXIT_OK
+    assert err.count("warning:") == 1
+    assert "warning: clmls_mu3: theory recursion diverged at iteration 193" in err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "exp2-mu_clmls_mu0.05.csv", "exp2-mu_clmls_mu3.csv", "plot.gp", "summary.txt",
+    ]
+    assert (out / "exp2-mu_clmls_mu3.csv").read_text().startswith("iteration,msd_db,emse\n0,")
+    assert (out / "exp2-mu_clmls_mu0.05.csv").read_text().startswith(
+        "iteration,msd_db,emse,theory_msd_db,theory_emse\n"
+    )
+    summary = (out / "summary.txt").read_text()
+    assert "clmls_mu3: plateau_db=" in summary and "diverged=0" in summary
+    theory = summary.split("[theory]\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert theory[0].startswith("clmls_mu0.05: ") and "transient_diverged_at" not in theory[0]
+    assert theory[1].startswith("clmls_mu3: ") and theory[1].endswith(" valid=False transient_diverged_at=193")
+    plot = (out / "plot.gp").read_text()
+    assert "'exp2-mu_clmls_mu0.05.csv' using 1:4" in plot
+    assert "'exp2-mu_clmls_mu3.csv' using 1:4" not in plot
+
+
+def old_csv_bytes(header, columns) -> str:
+    """The CSV text of the former writer: one `_fmt` call per value."""
+    lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_csv_writer_matches_the_per_value_format(tmp_path):
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.23456789012345e14, -1.5, 1e-300, 0.1])
+    ints = np.array([0, 7, -3, 2**62, 10**15, 1, 2, 3, 4, 5])
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, ["n", "x", "y"], [ints, floats, floats[::-1]])
+    assert path.read_text() == old_csv_bytes(["n", "x", "y"], [ints, floats, floats[::-1]])
+    cli._write_csv(path, ["n"], [ints], ["# a = 1", "# b = 2"])
+    assert path.read_text() == "# a = 1\n# b = 2\n" + old_csv_bytes(["n"], [ints])
+
+
+def test_predict_rows_go_through_the_csv_writer(tmp_path, capsys, monkeypatch):
+    calls = []
+    write_csv = cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv", lambda *a: calls.append(a) or write_csv(*a))
+    cfg = write(tmp_path, f"[experiment]\nid = custom\n{SHORT}")
+    out = tmp_path / "out"
+    assert invoke(capsys, "predict", "--config", cfg, "--out-dir", out)[0] == cli.EXIT_OK
+    assert len(calls) == 1
+    path, header, columns, preamble = calls[0]
+    assert path == out / "custom_predict.csv" and header == ["iteration", "theory_msd_db", "theory_emse"]
+    # the former writer's rows, from the recursion rerun here
+    loaded = cli.load_config(cfg)
+    model, cs = cli.build_scenario(loaded, loaded.sigma_v2)
+    params = cli.AlgorithmParams(mu=loaded.mu, alpha=loaded.alpha)
+    trace = cli.transient_predictor(model, cs, params, np.zeros(model.n_taps), loaded.horizon)
+    w_o = cli.optimal_constrained_wiener(model, cs)
+    msd_db = np.asarray(cli.ratio_to_db(trace.msd / float(w_o @ w_o)))
+    rows = "".join(
+        f"{n},{cli._fmt(float(msd_db[n]))},{cli._fmt(float(trace.emse[n]))}\n" for n in range(loaded.horizon + 1)
+    )
+    text = path.read_text()
+    assert text.startswith("# steady_state_emse = ") and text.count("\n") == 4 + 1 + loaded.horizon + 1
+    assert text.endswith("iteration,theory_msd_db,theory_emse\n" + rows)
 
 
 def test_echo_layout(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from confilt.constraints import build_constraint_set, linear_phase_constraints, unvec, vec
-from confilt.kernels import AlgorithmParams
+from confilt.kernels import AlgorithmParams, DivergenceError
 from confilt.simulation import (
     SignalModel,
     ar1_signal_model,
@@ -16,6 +16,7 @@ from confilt.theory import (
     h_U,
     steady_state_emse,
     transient_predictor,
+    transient_sweep,
     variance_transition,
 )
 
@@ -213,11 +214,45 @@ class TestTransientPredictor:
         assert a[0] > a_crossed > a[-1]
 
     def test_divergent_mu_raises_with_index(self):
-        from confilt.kernels import DivergenceError
-
         model, cs = exp1_setup()
         with pytest.raises(DivergenceError):
             transient_predictor(model, cs, AlgorithmParams(mu=500.0), np.zeros(10), 4000)
+
+
+class TestTransientSweep:
+    MUS = [0.01, 0.03, 0.05, 0.1, 0.2]
+
+    @pytest.mark.parametrize("input_kind", ["white", "ar1"])
+    def test_each_row_equals_its_step_size_alone(self, input_kind):
+        # one small product per row: a single (rows x L^2) @ (L^2 x 2)
+        # readout rounds each row differently in a batch than alone
+        model, cs = exp1_setup()
+        if input_kind == "ar1":
+            model = ar1_signal_model(0.8, 0.01, model.w_sys)
+        sweep = transient_sweep(model, cs, AlgorithmParams(mu=0.05), self.MUS, np.zeros(10), 300)
+        assert len(sweep) == len(self.MUS)
+        for mu, trace in zip(self.MUS, sweep):
+            alone = transient_predictor(model, cs, AlgorithmParams(mu=mu), np.zeros(10), 300)
+            assert trace.diverged_at is None
+            assert np.array_equal(trace.msd, alone.msd)
+            assert np.array_equal(trace.emse, alone.emse)
+            assert np.array_equal(trace.weight_correlation, alone.weight_correlation)
+
+    def test_diverged_row_stops_alone(self):
+        model, cs = exp1_setup()
+        with pytest.raises(DivergenceError) as raised:
+            transient_predictor(model, cs, AlgorithmParams(mu=500.0), np.zeros(10), 4000)
+        mus = [0.05, 500.0, 0.1]
+        sweep = transient_sweep(model, cs, AlgorithmParams(mu=0.05), mus, np.zeros(10), 4000)
+        n = raised.value.iteration
+        assert sweep[1].diverged_at == n
+        assert np.all(np.isfinite(sweep[1].msd[:n])) and np.all(np.isnan(sweep[1].msd[n:]))
+        assert np.all(np.isnan(sweep[1].emse[n:]))
+        for mu, trace in zip(mus[::2], sweep[::2]):
+            alone = transient_predictor(model, cs, AlgorithmParams(mu=mu), np.zeros(10), 4000)
+            assert trace.diverged_at is None
+            assert np.array_equal(trace.msd, alone.msd)
+            assert np.array_equal(trace.emse, alone.emse)
 
 
 class TestSteadyState:
