@@ -7,11 +7,15 @@ normalized squared deviation and excess error power over independent trials.
 
 One row engine runs every ensemble. A row is one (step size, trial) pair;
 the engine steps all rows of a pass at once as a (trials, step sizes, L)
-weight array and keeps the weight history, from which the deviation curves
-are computed in bulk after the loop. Trial k draws its signals once, from
-its own generator seeded base_seed + k, and every step size of a sweep
-reuses that draw (common random numbers). A row whose error turns non-finite
-has diverged: it is dropped from the averages and counted.
+weight array, in blocks of `_BLOCK` steps. The weights of a block go to a
+ring of `_BLOCK` + 1 rows, and at the end of each block the rows' deviation
+curves, divergence, fallback counts and residual checks for its steps are
+computed from the ring, so a pass holds its curves, each trial's input
+stream and desired signal, and one block of weights and inputs, whatever
+the horizon. Trial k draws its signals once, from its own generator seeded
+base_seed + k, and every step size of a sweep reuses that draw (common
+random numbers). A row whose error turns non-finite has diverged: it is
+dropped from the averages and counted.
 
 Each row performs the floating-point operations of the per-sample step
 functions in `kernels`, which stay as the reference, in the same order.
@@ -20,17 +24,17 @@ stacked matmuls (``W[..., None, :] @ u[..., None]``, ``P @ X[..., None]``),
 which numpy evaluates slice by slice with the same BLAS call as the
 per-sample ``w @ u`` and ``P @ w``, whereas one matrix product over all rows
 (``W @ P.T``) blocks its sums differently and makes a row depend on its
-neighbours; the cube of the log-cost kernel is C ``pow``, as in Python's
-``e**3``, not numpy's power. A row is therefore bit-identical to the
-per-sample loop whatever else shares its pass, and ensembles are reduced in
-trial order, so results are reproducible bit for bit for a given
+neighbours. A row is therefore bit-identical to the per-sample loop
+whatever else shares its pass or block, and ensembles are reduced in trial
+order, so results are reproducible bit for bit for a given
 (config, base_seed).
 
-The step loop takes its views of the history, inputs and desired signal
-once per pass, and the non-sparse steps write their temporaries (w . u,
-mu g(e), w + mu g(e) u and its projection) into buffers reused from step to
-step. Each buffer has the layout of the temporary it replaces, so numpy
-makes the same calls and the rows keep their bits.
+The step loop takes its views of the ring, the block's inputs and the
+desired signal once per pass, and every step writes its temporaries (w . u,
+mu g(e), the sparse direction and budget terms, w + mu g(e) u and its
+projection) into buffers reused from step to step. Each buffer has the
+layout of the temporary it replaces, so numpy makes the same calls and the
+rows keep their bits.
 """
 
 from __future__ import annotations
@@ -298,26 +302,29 @@ def _resolve_references(
     return optima, seg_params, starts
 
 
-# Bytes of weight history, inputs and curves one engine pass may hold; larger
+# Bytes of inputs, curves and block buffers one engine pass may hold; larger
 # ensembles run as several passes over consecutive trials.
 _PASS_BYTES = 1 << 26
 
-_cube = np.frompyfunc(math.pow, 2, 1)
+# Steps per block: enough to spread each block's reductions over many steps,
+# few enough that a pass's weight ring stays small next to its curves.
+_BLOCK = 256
 
 
 def _log_kernel_rows(e: np.ndarray, alpha: float) -> np.ndarray:
     """`error_nonlinearity` elementwise, with the same roundings."""
     x = alpha * e * e
     # x < 1 implies the |e| < 1e100 guard unless alpha is tiny; a NaN max
-    # fails the test
+    # fails the test. The cube is float_power, not power: it calls C pow as
+    # Python's e**3 does, with no fast path that rounds differently.
     if alpha >= 1e-199 and np.maximum.reduce(x, axis=None) < 1.0:
-        return alpha * _cube(e, 3.0).astype(float) / (1.0 + x)
+        return alpha * np.float_power(e, 3.0) / (1.0 + x)
     cubic = x < 1.0
     if alpha < 1e-199:
         cubic &= np.abs(e) < 1e100
     g = e * (x / (1.0 + x))
     if cubic.any():
-        g[cubic] = alpha * _cube(e[cubic], 3.0).astype(float) / (1.0 + x[cubic])
+        g[cubic] = alpha * np.float_power(e[cubic], 3.0) / (1.0 + x[cubic])
     return np.where(np.isfinite(x), g, e)
 
 
@@ -346,98 +353,157 @@ def _run_rows(
     """Step every (seed, mu) row through `horizon` samples at once."""
     spec = ALGORITHMS[algorithm]
     optima, seg_params, starts = _resolve_references(model, cs, spec, params)
-    L, T = model.n_taps, len(seeds)
-    U = np.empty((horizon, T, L))
+    L, T, n_mu = model.n_taps, len(seeds), len(mus)
+    # each trial's input stream after L - 1 zeros, and its desired signal
+    X = np.zeros((T, L - 1 + horizon))
     D = np.empty((horizon, T))
-    for k, seed in enumerate(seeds):
-        U[:, k], D[:, k] = generate_signals(model, horizon, np.random.default_rng(seed))
+    for t, seed in enumerate(seeds):
+        inputs, D[:, t] = generate_signals(model, horizon, np.random.default_rng(seed))
+        X[t, L - 1:] = inputs[:, 0]
+    taps = np.lib.stride_tricks.sliding_window_view(X, L, axis=1)[..., ::-1]  # [t, n] = u(n)
 
     w0 = np.zeros(L) if w_init is None else np.asarray(w_init, dtype=float)
     if spec.constrained:
         P, f = cs.P, cs.f
         w0 = P @ w0 + f
-    n_mu = len(mus)
-    hist = np.empty((horizon + 1, T, n_mu, L))  # hist[n] = w(n)
-    hist[0] = w0
-    errors = np.empty((horizon, T, n_mu))
-    degenerate = np.zeros(errors.shape, dtype=bool)  # P s vanished at step n
     seg_of = np.searchsorted(starts, np.arange(horizon), side="right") - 1
+    optima_rows = np.array(optima)
+    norms = np.array([float(w @ w) for w in optima])
     alpha, beta = params.alpha, params.beta_slope
 
-    # views taken once per pass, indexed [n] in the loop
-    w_rows = hist[..., None, :]  # (T, mus, 1, L): w(n) as row vectors
+    msd_ratio = np.empty((T, n_mu, horizon))
+    ea2 = np.empty((T, n_mu, horizon))
+    diverged_at = np.full((T, n_mu), -1)
+    fallback_steps = np.zeros((T, n_mu), dtype=int)
+    max_residual = np.zeros((T, n_mu))
+
+    # one block of steps b, ..., b + K - 1: ring[i] = w(b + i), and the
+    # block's inputs, errors and fallback flags
+    K = min(_BLOCK, horizon)
+    ring = np.empty((K + 1, T, n_mu, L))
+    ring[0] = w0
+    U = np.empty((K, T, L))
+    errors = np.empty((K, T, n_mu))
+    degenerate = np.zeros(errors.shape, dtype=bool)  # P s vanished at step b + i
+    dots = np.empty((K, T, n_mu, 1, 1))
+
+    # views taken once per pass, indexed [i] in the loop
+    w_rows = ring[..., None, :]  # (T, mus, 1, L): w(n) as row vectors
+    w_cols = ring[..., None]  # (T, mus, L, 1)
     u_rows = U[:, :, None, :]  # (T, 1, L)
     u_cols = U[:, :, None, :, None]  # (T, 1, L, 1)
     d_rows = D[..., None]  # (T, 1)
     # buffers reused by every step, laid out like the temporaries they replace
     wu = np.empty((T, n_mu, 1, 1))  # w(n) . u(n)
     step = np.empty((T, n_mu, 1))  # mu g(e)
-    moved = np.empty((T, n_mu, L))  # w + mu g(e) u
-    projected = np.empty((T, n_mu, L, 1))  # P (w + mu g(e) u)
+    moved = np.empty((T, n_mu, L))  # w + mu g(e) u, or w + mu g(e) P' u
+    projected = np.empty((T, n_mu, L, 1))  # P moved
     wu_rows, step_rows = wu[..., 0, 0], step[..., 0]
     moved_cols, projected_rows = moved[..., None], projected[..., 0]
+    if spec.sparse:
+        s = np.empty((T, n_mu, L))  # sign direction
+        scale = np.empty((T, n_mu, L))  # beta^2 w^2 + 1, then arctan(beta |w|)
+        t_now = np.empty((T, n_mu, 1, 1))  # current (reweighted) l1 norm
+        Ps = np.empty((T, n_mu, L, 1))
+        ps2 = np.empty((T, n_mu, 1, 1))
+        q = np.empty((T, n_mu, L))
+        Pu = np.empty((T, L, 1))
+        psu = np.empty((T, n_mu, 1, 1))  # (P s) . u
+        p_prime_u = np.empty((T, n_mu, L))
+        e_l1 = np.empty((T, n_mu))
+        f_l1 = np.empty((T, n_mu, L))
+        s_rows, s_cols = s[..., None, :], s[..., None]  # as w_rows, w_cols
+        Ps_rows = Ps[..., 0]
+        Ps_vecs = Ps_rows[..., None, :]  # (T, mus, 1, L)
+        t_now_rows, ps2_rows, psu_rows = t_now[..., 0, 0], ps2[..., 0, 0], psu[..., 0]
+        Pu_rows = Pu[:, None, :, 0]  # (T, 1, L)
+        u_taps = U[..., None]  # (T, L, 1): u(n) per trial, for P u
+        fallback = degenerate[..., None]
 
     # a row whose error turns non-finite has diverged: it keeps running on
-    # inf/nan, and its steps from then on are ignored after the loop
+    # inf/nan, and its curves are zeroed at the end
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in range(horizon):
-            W = hist[n]
-            np.matmul(w_rows[n], u_cols[n], out=wu)
-            e = np.subtract(d_rows[n], wu_rows, out=errors[n])
-            g = _log_kernel_rows(e, alpha) if spec.log_kernel else e
-            np.multiply(mus, g, out=step_rows)
-            if spec.sparse:
-                if spec.reweighted:
-                    s = (2.0 * beta / math.pi) * np.sign(W) / (beta * beta * W * W + 1.0)
-                    t_now = (2.0 / math.pi) * np.sum(np.arctan(beta * np.abs(W)), axis=-1)
+        for b in range(0, horizon, K):
+            k = min(K, horizon - b)
+            np.copyto(U[:k], taps[:, b:b + k].swapaxes(0, 1))
+            for i in range(k):
+                n = b + i
+                W = ring[i]
+                np.matmul(w_rows[i], u_cols[i], out=wu)
+                e = np.subtract(d_rows[n], wu_rows, out=errors[i])
+                g = _log_kernel_rows(e, alpha) if spec.log_kernel else e
+                np.multiply(mus, g, out=step_rows)
+                if spec.sparse:
+                    if spec.reweighted:
+                        np.sign(W, out=s)
+                        np.multiply(2.0 * beta / math.pi, s, out=s)
+                        np.multiply(beta * beta, W, out=scale)
+                        np.multiply(scale, W, out=scale)
+                        np.divide(s, np.add(scale, 1.0, out=scale), out=s)
+                        np.abs(W, out=scale)
+                        np.arctan(np.multiply(beta, scale, out=scale), out=scale)
+                        np.sum(scale, axis=-1, out=t_now_rows)
+                        np.multiply(2.0 / math.pi, t_now_rows, out=t_now_rows)
+                    else:
+                        np.sign(W, out=s)
+                        np.matmul(s_rows, w_cols[i], out=t_now)
+                    np.matmul(P, s_cols, out=Ps)
+                    np.matmul(Ps_vecs, Ps, out=ps2)
+                    np.divide(Ps_rows, ps2_rows[..., None], out=q)
+                    np.matmul(P, u_taps[i], out=Pu)
+                    np.matmul(Ps_vecs, u_cols[i], out=psu)
+                    np.subtract(Pu_rows, np.multiply(q, psu_rows, out=p_prime_u), out=p_prime_u)
+                    np.subtract(seg_params[seg_of[n]].t, t_now_rows, out=e_l1)
+                    np.multiply(e_l1[..., None], q, out=f_l1)
+                    np.add(W, np.multiply(step, p_prime_u, out=moved), out=moved)
+                    np.matmul(P, moved_cols, out=projected)
+                    np.add(np.add(projected_rows, f, out=ring[i + 1]), f_l1, out=ring[i + 1])
+                    # rows whose P s vanished take the non-sparse step
+                    if np.less(ps2_rows, _DEGENERATE_PS2, out=degenerate[i]).any():
+                        np.add(W, np.multiply(step, u_rows[i], out=moved), out=moved)
+                        np.matmul(P, moved_cols, out=projected)
+                        np.copyto(ring[i + 1], np.add(projected_rows, f, out=moved), where=fallback[i])
+                elif spec.constrained:
+                    np.add(W, np.multiply(step, u_rows[i], out=moved), out=moved)
+                    np.matmul(P, moved_cols, out=projected)
+                    np.add(projected_rows, f, out=ring[i + 1])
                 else:
-                    s = np.sign(W)
-                    t_now = (s[..., None, :] @ W[..., None])[..., 0, 0]
-                Ps = (P @ s[..., None])[..., 0]
-                ps2 = (Ps[..., None, :] @ Ps[..., None])[..., 0, 0]
-                q = Ps / ps2[..., None]
-                Pu = (P @ U[n][..., None])[..., 0]
-                p_prime_u = Pu[:, None, :] - q * (Ps[..., None, :] @ u_cols[n])[..., 0]
-                f_l1 = (seg_params[seg_of[n]].t - t_now)[..., None] * q
-                w_next = (P @ (W + step * p_prime_u)[..., None])[..., 0] + f + f_l1
-                # rows whose P s vanished take the non-sparse step
-                if np.less(ps2, _DEGENERATE_PS2, out=degenerate[n]).any():
-                    plain = (P @ (W + step * u_rows[n])[..., None])[..., 0] + f
-                    w_next = np.where(degenerate[n][..., None], plain, w_next)
-                hist[n + 1] = w_next
-            elif spec.constrained:
-                np.add(W, np.multiply(step, u_rows[n], out=moved), out=moved)
-                np.matmul(P, moved_cols, out=projected)
-                np.add(projected_rows, f, out=hist[n + 1])
-            else:
-                np.add(W, np.multiply(step, u_rows[n], out=moved), out=hist[n + 1])
+                    np.add(W, np.multiply(step, u_rows[i], out=moved), out=ring[i + 1])
 
-        # first non-finite error; or finite errors throughout but non-finite
-        # final weights
-        bad = ~np.isfinite(errors)
-        diverged_at = np.where(bad.any(axis=0), np.argmax(bad, axis=0), -1)
-        diverged_at[(diverged_at < 0) & ~np.isfinite(hist[horizon]).all(axis=-1)] = horizon
-        # step n of a row counts if it completed
-        completed = np.arange(horizon)[:, None, None] < np.where(diverged_at < 0, horizon, diverged_at)
-        fallback_steps = np.sum(degenerate & completed, axis=0)
-        max_residual = np.zeros(diverged_at.shape)
-        if spec.constrained:
-            checks = np.arange(0, horizon, residual_check_every)
-            resid = np.max(np.abs((cs.C.T @ hist[checks + 1][..., None])[..., 0] - cs.z), axis=-1)
-            # like max(), fmax skips NaN
-            max_residual = np.fmax.reduce(np.where(completed[checks], resid, 0.0), axis=0, initial=0.0)
+            # first non-finite error; or finite errors throughout but
+            # non-finite final weights
+            bad = ~np.isfinite(errors[:k])
+            first = (diverged_at < 0) & bad.any(axis=0)
+            diverged_at[first] = b + np.argmax(bad, axis=0)[first]
+            if b + k == horizon:
+                diverged_at[(diverged_at < 0) & ~np.isfinite(ring[k]).all(axis=-1)] = horizon
+            # step n of a row counts if it completed
+            completed = np.arange(b, b + k)[:, None, None] < np.where(diverged_at < 0, horizon, diverged_at)
+            if spec.sparse:
+                fallback_steps += np.sum(degenerate[:k] & completed, axis=0)
+            if spec.constrained:
+                # the residual after each step n divisible by the interval
+                checks = np.arange(-b % residual_check_every, k, residual_check_every)
+                resid = np.max(np.abs((cs.C.T @ ring[checks + 1][..., None])[..., 0] - cs.z), axis=-1)
+                # like max(), fmax skips NaN
+                resid = np.fmax.reduce(np.where(completed[checks], resid, 0.0), axis=0, initial=0.0)
+                np.fmax(max_residual, resid, out=max_residual)
 
-        # deviation from the active optimum before each step, in place of w(n)
-        w_opt = np.array(optima)[seg_of]
-        dev = np.subtract(w_opt[:, None, None, :], hist[:horizon], out=hist[:horizon])
-        norms = np.array([float(w @ w) for w in optima])[seg_of]
-        msd_ratio = (dev[..., None, :] @ dev[..., None])[..., 0, 0] / norms[:, None, None]
-        ea = (dev[..., None, :] @ u_cols)[..., 0, 0]
-        ea2 = ea * ea
-    ok = (diverged_at < 0)[..., None]
+            # deviation from the active optimum before each step, in place
+            # of w(n); the next block starts from w(b + k)
+            seg = seg_of[b:b + k]
+            dev = np.subtract(optima_rows[seg][:, None, None, :], ring[:k], out=ring[:k])
+            sq = np.matmul(dev[..., None, :], dev[..., None], out=dots[:k])[..., 0, 0]
+            np.divide(sq, norms[seg][:, None, None], out=np.moveaxis(msd_ratio[..., b:b + k], -1, 0))
+            ea = np.matmul(dev[..., None, :], u_cols[:k], out=dots[:k])[..., 0, 0]
+            np.multiply(ea, ea, out=np.moveaxis(ea2[..., b:b + k], -1, 0))
+            ring[0] = ring[k]
+
+    msd_ratio[diverged_at >= 0] = 0.0
+    ea2[diverged_at >= 0] = 0.0
     return _Rows(
-        msd_ratio=np.where(ok, np.moveaxis(msd_ratio, 0, -1), 0.0),
-        ea2=np.where(ok, np.moveaxis(ea2, 0, -1), 0.0),
+        msd_ratio=msd_ratio,
+        ea2=ea2,
         diverged_at=diverged_at,
         fallback_steps=fallback_steps,
         max_residual=max_residual,
@@ -486,7 +552,10 @@ def run_step_size_sweep(
     fallback_steps = np.zeros(n_mu, dtype=int)
     max_residual = np.zeros(n_mu)
 
-    per_trial = 8 * (horizon + 1) * ((n_mu + 1) * model.n_taps + 5 * n_mu + 1)
+    # a trial's input stream, d and two curves, plus its rows of the block
+    # buffers: weight ring, inputs, errors and the curves' dot products
+    L, K = model.n_taps, min(_BLOCK, horizon)
+    per_trial = 8 * (2 * horizon + L + 2 * n_mu * horizon + (K + 1) * (n_mu * L + L + 2 * n_mu))
     per_pass = max(1, _PASS_BYTES // per_trial)
     for first in range(base_seed, base_seed + trials, per_pass):
         seeds = range(first, min(first + per_pass, base_seed + trials))
@@ -504,6 +573,7 @@ def run_step_size_sweep(
             diverged_at[j] += [int(n) for n in rows.diverged_at[:, j] if n >= 0]
         fallback_steps += np.sum(rows.fallback_steps, axis=0)
         max_residual = np.maximum(max_residual, np.max(rows.max_residual, axis=0))
+        del rows, ratio, ea2  # free the curves before the next pass allocates its own
 
     results = []
     for j, run in enumerate(runs):
