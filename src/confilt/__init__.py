@@ -3,13 +3,8 @@
 from .constraints import (
     ConstraintSet,
     RankDeficiencyError,
-    beamforming_constraints,
     build_constraint_set,
-    kron,
     linear_phase_constraints,
-    ula_steering_real,
-    unvec,
-    vec,
 )
 from .kernels import (
     ALGORITHMS,
@@ -41,7 +36,6 @@ from .simulation import (
     linear_phase_system,
     match_step_size,
     noise_var_from_snr,
-    normalized_msd_db,
     optimal_constrained_wiener,
     run_monte_carlo,
     run_step_size_sweep,
@@ -60,7 +54,6 @@ from .theory import (
     steady_state_emse,
     transient_predictor,
     transient_sweep,
-    variance_transition,
 )
 
 __version__ = "0.1.0"

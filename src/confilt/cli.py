@@ -314,9 +314,9 @@ def build_scenario(cfg: ExperimentConfig, sigma_v2: float) -> tuple[SignalModel,
         first = w_sys
 
     if cfg.input_kind == "ar1":
-        model = ar1_signal_model(cfg.ar1_rho, sigma_v2, w_sys, L=L)
+        model = ar1_signal_model(cfg.ar1_rho, sigma_v2, w_sys)
     else:
-        model = white_signal_model(sigma_v2, w_sys, L=L)
+        model = white_signal_model(sigma_v2, w_sys)
 
     if cfg.constraint == "none":
         cs = None

@@ -11,10 +11,6 @@ and the minimum-norm feasible point
 
 Every constrained update in this package is of the form
 ``w <- P (candidate) + f``, which keeps the iterate exactly feasible.
-
-Also provides the column-stacking ``vec`` operator and the Kronecker
-product used by the mean-square analysis: with this convention,
-``vec(A @ S @ B) == kron(B.T, A) @ vec(S)``.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ class RankDeficiencyError(ValueError):
 class ConstraintSet:
     """Constraint directions C, values z, projector P and offset f.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction.
     """
 
     C: np.ndarray  # (L, K)
@@ -53,10 +49,6 @@ class ConstraintSet:
     @property
     def n_taps(self) -> int:
         return self.C.shape[0]
-
-    @property
-    def n_constraints(self) -> int:
-        return self.C.shape[1]
 
     def residual(self, w: np.ndarray) -> float:
         """Max-norm feasibility residual ||C^T w - z||_inf."""
@@ -140,57 +132,3 @@ def linear_phase_constraints(L: int) -> ConstraintSet:
     else:
         C = np.vstack([np.eye(half), np.zeros((1, half)), -J])
     return build_constraint_set(C, np.zeros(half))
-
-
-def beamforming_constraints(steering_vectors: np.ndarray, gains: np.ndarray) -> ConstraintSet:
-    """Gain constraints for array processing: each steering vector's
-    response is pinned to the corresponding gain.
-
-    Parameters
-    ----------
-    steering_vectors : ndarray, shape (L, K)
-        One steering vector per column; must be linearly independent.
-    gains : ndarray, shape (K,)
-        Desired response toward each steering direction.
-    """
-    sv = np.atleast_2d(np.asarray(steering_vectors, dtype=float))
-    if sv.ndim != 2 or sv.shape[1] == 0:
-        raise ValueError("need at least one steering vector")
-    return build_constraint_set(sv, gains)
-
-
-def ula_steering_real(L: int, angle_rad: float, spacing: float = 0.5) -> np.ndarray:
-    """Real-valued steering vector for a uniform linear array.
-
-    The complex steering vector exp(j * 2*pi * spacing * k * sin(angle))
-    over k = 0..L/2-1 is mapped to real form by stacking its cosine part
-    above its sine part, so L must be even.
-    """
-    if L < 2 or L % 2 != 0:
-        raise ValueError(f"real ULA steering needs an even length, got L={L}")
-    m = L // 2
-    phase = 2.0 * np.pi * spacing * np.arange(m) * np.sin(angle_rad)
-    return np.concatenate([np.cos(phase), np.sin(phase)])
-
-
-def vec(M: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization of a square matrix."""
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"vec expects a square matrix, got shape {M.shape}")
-    return M.ravel(order="F")
-
-
-def unvec(v: np.ndarray, L: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`: reshape a length-L^2 vector to L x L."""
-    v = np.asarray(v)
-    if L is None:
-        L = int(round(np.sqrt(v.size)))
-    if L * L != v.size:
-        raise ValueError(f"cannot unvec length-{v.size} vector into {L}x{L}")
-    return v.reshape((L, L), order="F")
-
-
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) equals A[i, j] * B."""
-    return np.kron(np.asarray(A), np.asarray(B))

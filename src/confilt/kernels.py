@@ -90,25 +90,18 @@ class SparseStepAux:
     """Internals of one sparse step, exposed for diagnostics and tests.
 
     s : sub-gradient / reweight direction used for the budget constraint
-    P, Ps, q : the constraint projector, the projected direction P s and
-        q = P s / ||P s||^2
+    Ps, q : the projected direction P s and q = P s / ||P s||^2; the step
+        applies P - q (P s)^T to the input, which annihilates both C and
+        the projected sign direction
     e_L1 : budget deviation driven to zero by the step
     f_L1 : budget correction added to the weight vector
     """
 
     s: np.ndarray
-    P: np.ndarray
     Ps: np.ndarray
     q: np.ndarray
     e_L1: float
     f_L1: np.ndarray
-
-    @property
-    def P_prime(self) -> np.ndarray:
-        """Combined projector P - q (P s)^T applied to the input before the
-        gradient correction; annihilates both C and the projected sign
-        direction. Built on request, not by the step."""
-        return self.P - np.outer(self.q, self.Ps)
 
 
 def error_nonlinearity(e: float, alpha: float) -> float:
@@ -230,7 +223,7 @@ def _l1_step(
     p_prime_u = Pu - q * float(Ps @ u)
     w_next = cs.P @ (w + (params.mu * g) * p_prime_u) + cs.f + f_l1
 
-    aux = SparseStepAux(s=s, P=cs.P, Ps=Ps, q=q, e_L1=e_l1, f_L1=f_l1)
+    aux = SparseStepAux(s=s, Ps=Ps, q=q, e_L1=e_l1, f_L1=f_l1)
     return FilterState(w=w_next, n=state.n + 1), aux
 
 

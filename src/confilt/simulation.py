@@ -50,6 +50,11 @@ from .kernels import _DEGENERATE_PS2, ALGORITHMS, AlgorithmParams
 DB_FLOOR = -400.0
 _RATIO_FLOOR = 10.0 ** (DB_FLOOR / 10.0)
 
+_SIGMA_U2 = 1.0  # variance of the white input stream
+_SIGNAL_POWER = 1.0  # power of the noiseless desired signal, for the SNR
+_SPARSITIES = (0.0, 0.5, 0.9)  # zeroed share of the taps in each third
+_WINDOW_FRAC = 0.1  # final share of a curve averaged for its steady state
+
 
 class EnsembleDivergedError(RuntimeError):
     """Every trial of a Monte-Carlo run diverged."""
@@ -98,25 +103,17 @@ class SignalModel:
         return self.R.shape[0]
 
 
-def white_signal_model(
-    sigma_v2: float, w_sys: np.ndarray | SystemSchedule, L: int | None = None,
-    sigma_u2: float = 1.0,
-) -> SignalModel:
-    """White Gaussian tap inputs with variance sigma_u2."""
-    if L is None:
-        L = _system_length(w_sys)
-    return SignalModel(R=sigma_u2 * np.eye(L), sigma_v2=sigma_v2, w_sys=w_sys)
+def white_signal_model(sigma_v2: float, w_sys: np.ndarray | SystemSchedule) -> SignalModel:
+    """White Gaussian tap inputs with unit variance."""
+    L = _system_length(w_sys)
+    return SignalModel(R=_SIGMA_U2 * np.eye(L), sigma_v2=sigma_v2, w_sys=w_sys)
 
 
-def ar1_signal_model(
-    rho: float, sigma_v2: float, w_sys: np.ndarray | SystemSchedule, L: int | None = None
-) -> SignalModel:
+def ar1_signal_model(rho: float, sigma_v2: float, w_sys: np.ndarray | SystemSchedule) -> SignalModel:
     """AR(1) stream with unit stationary variance; R_ij = rho^|i-j|."""
     if not -1 < rho < 1:
         raise ValueError(f"AR(1) coefficient must be in (-1, 1), got {rho}")
-    if L is None:
-        L = _system_length(w_sys)
-    idx = np.arange(L)
+    idx = np.arange(_system_length(w_sys))
     R = rho ** np.abs(idx[:, None] - idx[None, :])
     return SignalModel(R=R, sigma_v2=sigma_v2, w_sys=w_sys, input_kind="ar1", rho=rho)
 
@@ -135,9 +132,10 @@ def linear_phase_system(L: int, rng: np.random.Generator) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def noise_var_from_snr(snr_db: float, signal_power: float = 1.0) -> float:
-    """Observation-noise variance giving the requested SNR."""
-    return signal_power / (10.0 ** (snr_db / 10.0))
+def noise_var_from_snr(snr_db: float) -> float:
+    """Observation-noise variance giving the requested SNR for a unit-power
+    desired signal (unit-norm system, unit-variance input)."""
+    return _SIGNAL_POWER / (10.0 ** (snr_db / 10.0))
 
 
 def optimal_constrained_wiener(model: SignalModel, cs: ConstraintSet) -> np.ndarray:
@@ -211,22 +209,18 @@ def generate_signals(
     return U, d
 
 
-def sparse_system_schedule(
-    L: int,
-    horizon: int,
-    rng: np.random.Generator,
-    sparsities: tuple[float, ...] = (0.0, 0.5, 0.9),
-) -> SystemSchedule:
-    """Time-varying system whose sparsity steps up at thirds of the horizon.
+def sparse_system_schedule(L: int, horizon: int, rng: np.random.Generator) -> SystemSchedule:
+    """Time-varying system whose sparsity steps up at thirds of the horizon,
+    through 0, 50 and 90 % zero taps.
 
     Tap values are drawn once; each segment zeroes a nested subset of
     positions (round(L * sparsity) of them) and is rescaled to unit norm.
     """
     base = rng.standard_normal(L)
     order = rng.permutation(L)
-    n_seg = len(sparsities)
+    n_seg = len(_SPARSITIES)
     systems = []
-    for s in sparsities:
+    for s in _SPARSITIES:
         n_zero = int(round(L * s))
         w = base.copy()
         w[order[:n_zero]] = 0.0
@@ -269,18 +263,6 @@ class RunResult:
 def ratio_to_db(ratio: np.ndarray | float) -> np.ndarray | float:
     """10 log10 with the documented floor at -400 dB."""
     return 10.0 * np.log10(np.maximum(ratio, _RATIO_FLOOR))
-
-
-def normalized_msd_db(w: np.ndarray, w_opt: np.ndarray) -> float:
-    """Normalized deviation in dB; rows of w are treated as trials and the
-    mean ratio is taken before the logarithm."""
-    w_opt = np.asarray(w_opt, dtype=float)
-    denom = float(w_opt @ w_opt)
-    if denom == 0.0:
-        raise ValueError("w_opt must be nonzero")
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    ratios = np.sum((w - w_opt) ** 2, axis=1) / denom
-    return float(ratio_to_db(float(np.mean(ratios))))
 
 
 def _resolve_references(
@@ -347,7 +329,6 @@ def _run_rows(
     mus: np.ndarray,
     seeds,
     horizon: int,
-    w_init: np.ndarray | None,
     residual_check_every: int,
 ) -> _Rows:
     """Step every (seed, mu) row through `horizon` samples at once."""
@@ -362,7 +343,7 @@ def _run_rows(
         X[t, L - 1:] = inputs[:, 0]
     taps = np.lib.stride_tricks.sliding_window_view(X, L, axis=1)[..., ::-1]  # [t, n] = u(n)
 
-    w0 = np.zeros(L) if w_init is None else np.asarray(w_init, dtype=float)
+    w0 = np.zeros(L)
     if spec.constrained:
         P, f = cs.P, cs.f
         w0 = P @ w0 + f
@@ -519,12 +500,12 @@ def run_step_size_sweep(
     horizon: int,
     base_seed: int,
     cs: ConstraintSet | None = None,
-    w_init: np.ndarray | None = None,
     residual_check_every: int = 100,
 ) -> list[RunResult]:
     """Ensemble-average an algorithm at each step size in `mus`.
 
-    Trial k uses generator seed base_seed + k for every step size. Diverged
+    Every trial starts from w = 0, projected onto the constraints, and
+    trial k uses generator seed base_seed + k for every step size. Diverged
     trials are dropped from the averages and counted; a step size at which
     every trial diverges raises EnsembleDivergedError. Each result is
     bit-identical to a run of that step size alone.
@@ -560,8 +541,7 @@ def run_step_size_sweep(
     for first in range(base_seed, base_seed + trials, per_pass):
         seeds = range(first, min(first + per_pass, base_seed + trials))
         rows = _run_rows(
-            model, cs, algorithm, params, mu_rows, seeds, horizon, w_init,
-            residual_check_every,
+            model, cs, algorithm, params, mu_rows, seeds, horizon, residual_check_every,
         )
         # diverged rows are zero, so every trial can be added in trial order
         for ratio, ea2 in zip(rows.msd_ratio, rows.ea2):
@@ -633,7 +613,6 @@ def run_monte_carlo(
     horizon: int,
     base_seed: int,
     cs: ConstraintSet | None = None,
-    w_init: np.ndarray | None = None,
     n_workers: int = 1,
     residual_check_every: int = 100,
 ) -> RunResult:
@@ -641,32 +620,49 @@ def run_monte_carlo(
 
     The one-step-size case of `run_step_size_sweep`. n_workers is accepted
     and ignored: the row engine runs in one process, and the argument stays
-    for callers written for the former process pool.
+    because perfbench/tracing.py still passes n_workers=2.
     """
     return run_step_size_sweep(
         model, algorithm, params, [params.mu], trials, horizon, base_seed,
-        cs=cs, w_init=w_init, residual_check_every=residual_check_every,
+        cs=cs, residual_check_every=residual_check_every,
     )[0]
 
 
-def steady_state_plateau_db(result: RunResult, window_frac: float = 0.1) -> float:
+def _final_window_mean(curve: np.ndarray) -> float:
+    """Mean over the final _WINDOW_FRAC of a curve (at least one sample)."""
+    n = len(curve)
+    start = max(0, n - max(1, int(round(_WINDOW_FRAC * n))))
+    return float(np.mean(curve[start:]))
+
+
+def steady_state_plateau_db(result: RunResult) -> float:
     """Plateau estimate: mean normalized deviation over the final window, in dB."""
-    n = len(result.msd_ratio)
-    start = max(0, n - max(1, int(round(window_frac * n))))
-    return float(ratio_to_db(float(np.mean(result.msd_ratio[start:]))))
+    return float(ratio_to_db(_final_window_mean(result.msd_ratio)))
 
 
-def steady_state_emse_sim(result: RunResult, window_frac: float = 0.1) -> float:
+def steady_state_emse_sim(result: RunResult) -> float:
     """Simulated steady-state excess error power over the final window."""
-    n = len(result.emse)
-    start = max(0, n - max(1, int(round(window_frac * n))))
-    return float(np.mean(result.emse[start:]))
+    return _final_window_mean(result.emse)
 
 
 def iterations_to_within_db(msd_db: np.ndarray, margin_db: float, plateau_db: float) -> int | None:
-    """First iteration at which the curve stays within margin of the plateau."""
-    hits = np.nonzero(msd_db <= plateau_db + margin_db)[0]
-    return int(hits[0]) if hits.size else None
+    """First iteration from which the curve stays within margin of the plateau.
+
+    A NaN sample counts as outside. None if the curve ends outside.
+    """
+    inside = np.asarray(msd_db) <= plateau_db + margin_db
+    if not inside.size or not inside[-1]:
+        return None
+    outside = np.nonzero(~inside)[0]
+    return int(outside[-1]) + 1 if outside.size else 0
+
+
+# step-size matcher: plateau tolerance, relative bracket width, bisection
+# probes and points of the initial geometric scan
+_MATCH_TOL_DB = 0.25
+_MATCH_REL_WIDTH = 0.05
+_MATCH_MAX_EVALS = 30
+_MATCH_GRID = 6
 
 
 class StepSizeMatchError(RuntimeError):
@@ -684,14 +680,11 @@ def match_step_size(
     model: SignalModel,
     search_bounds: tuple[float, float],
     cs: ConstraintSet | None = None,
-    params: AlgorithmParams | None = None,
-    trials: int = 100,
-    horizon: int = 5000,
-    base_seed: int = 0,
-    tol_db: float = 0.25,
-    rel_width: float = 0.05,
-    max_evals: int = 30,
-    n_grid: int = 6,
+    *,
+    params: AlgorithmParams,
+    trials: int,
+    horizon: int,
+    base_seed: int,
 ) -> float:
     """Tune the step size until the steady-state plateau matches a target.
 
@@ -702,10 +695,9 @@ def match_step_size(
     The scan runs as one step-size sweep; the bisection probes run one mu
     each. All probes reuse the same trial seeds (common random numbers), so
     the plateau is a smooth function of mu. Returns mu whose plateau is within
-    tol_db of the target, with the final bracket narrower than rel_width.
+    _MATCH_TOL_DB of the target once the bracket's relative width is at most
+    _MATCH_REL_WIDTH, else the best of _MATCH_MAX_EVALS bisection probes.
     """
-    params = params or AlgorithmParams(mu=search_bounds[0])
-
     def plateau(mu: float) -> float:
         res = run_monte_carlo(
             model, algorithm, replace(params, mu=mu), trials, horizon, base_seed, cs=cs
@@ -716,7 +708,7 @@ def match_step_size(
     if not (0 < lo < hi):
         raise ValueError(f"invalid search bounds {search_bounds}")
 
-    grid = np.geomspace(lo, hi, max(2, n_grid))
+    grid = np.geomspace(lo, hi, _MATCH_GRID)
     levels = [
         steady_state_plateau_db(res)
         for res in run_step_size_sweep(
@@ -724,7 +716,7 @@ def match_step_size(
         )
     ]
     k_min = int(np.argmin(levels))
-    if reference_msd_db < levels[k_min] - tol_db:
+    if reference_msd_db < levels[k_min] - _MATCH_TOL_DB:
         raise StepSizeMatchError(
             f"target {reference_msd_db:.2f} dB not bracketed: best achievable "
             f"plateau over [{lo:g}, {hi:g}] is {levels[k_min]:.2f} dB at "
@@ -751,8 +743,8 @@ def match_step_size(
     best_mu, best_gap = lo, abs(p_lo - reference_msd_db)
     if abs(p_hi - reference_msd_db) < best_gap:
         best_mu, best_gap = hi, abs(p_hi - reference_msd_db)
-    for _ in range(max_evals):
-        if best_gap <= tol_db and (hi - lo) <= rel_width * hi:
+    for _ in range(_MATCH_MAX_EVALS):
+        if best_gap <= _MATCH_TOL_DB and (hi - lo) <= _MATCH_REL_WIDTH * hi:
             break
         mid = math.sqrt(lo * hi)
         p_mid = plateau(mid)

@@ -6,9 +6,13 @@ current weights, confined to range(P)) follows the L x L recursion
     Phi(n+1) = Phi - mu h_G(n) (Phi M + M Phi) + mu^2 h_U(n) M,    M = P R P,
 
 with msd(n) = trace(Phi(n)), emse(n) = trace(R Phi(n)); it is the symmetric
-part of the L^2 x L^2 map built by `variance_transition`, which stays as the
-test oracle. `transient_sweep` steps it in the eigenbasis of M = Q Lambda Q^T
-(one `eigh` per sweep), where it is elementwise: Psi = Q^T Phi Q follows
+part of the L^2 x L^2 map
+
+    vec(Phi) <- (I - 2 mu h_G kron(M, I)) vec(Phi) + mu^2 h_U vec(M),
+
+which the test oracle `variance_transition` in tests/test_theory.py builds.
+`transient_sweep` steps it in the eigenbasis of M = Q Lambda Q^T (one
+`eigh` per sweep), where it is elementwise: Psi = Q^T Phi Q follows
 
     Psi_ij <- Psi_ij (1 - mu h_G (lambda_i + lambda_j)) + mu^2 h_U lambda_i [i = j],
 
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, kron, vec
+from .constraints import ConstraintSet
 from .kernels import AlgorithmParams, DivergenceError
 from .simulation import SignalModel, optimal_constrained_wiener
 
@@ -155,27 +159,6 @@ def h_U(model: GaussianErrorModel) -> float:
     error <= 2.3e-15.
     """
     return model.sigma_e2 * _kernel_moments(model.alpha * model.sigma_e2)[1]
-
-
-def variance_transition(
-    R: np.ndarray, P: np.ndarray, mu: float, hG: float, hU: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-step weighted-variance map in vec coordinates.
-
-    Returns (F, drive) with F = I - 2 mu hG kron((P R P)^T, I) and
-    drive = mu^2 hU vec(P R P), so that for any weighting matrix S,
-    unvec(F @ vec(S)) == S - 2 mu hG S (P R P). The test oracle for the
-    recursion of `transient_sweep`.
-    """
-    R = np.asarray(R, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if R.shape != P.shape or R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ValueError(f"R and P must be square and same shape, got {R.shape} vs {P.shape}")
-    L = R.shape[0]
-    M = P @ R @ P
-    F = np.eye(L * L) - (2.0 * mu * hG) * kron(M.T, np.eye(L))
-    gamma = vec(M)
-    return F, (mu * mu * hU) * gamma
 
 
 def transient_sweep(

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from confilt.constraints import (
-    RankDeficiencyError,
-    beamforming_constraints,
-    build_constraint_set,
-    kron,
-    linear_phase_constraints,
-    ula_steering_real,
-    unvec,
-    vec,
-)
+from confilt.constraints import RankDeficiencyError, build_constraint_set, linear_phase_constraints
 
 
 def projector_rank(P):
@@ -88,77 +79,3 @@ class TestLinearPhase:
     def test_too_short(self):
         with pytest.raises(ValueError):
             linear_phase_constraints(1)
-
-
-class TestBeamforming:
-    def test_broadside_distortionless(self):
-        cs = beamforming_constraints(np.ones((4, 1)), np.array([1.0]))
-        rng = np.random.default_rng(0)
-        w = cs.project(rng.standard_normal(4))
-        assert abs(np.sum(w) - 1.0) <= 1e-12
-
-    def test_max_constraints_leave_rank_one(self):
-        rng = np.random.default_rng(3)
-        L = 5
-        sv = rng.standard_normal((L, L - 1))
-        cs = beamforming_constraints(sv, rng.standard_normal(L - 1))
-        assert projector_rank(cs.P) == 1
-
-    def test_no_steering_vectors_rejected(self):
-        with pytest.raises(ValueError):
-            beamforming_constraints(np.empty((4, 0)), np.empty(0))
-
-    def test_dependent_steering_vectors_rejected(self):
-        sv = np.column_stack([np.ones(4), 2 * np.ones(4)])
-        with pytest.raises(RankDeficiencyError):
-            beamforming_constraints(sv, np.array([1.0, 2.0]))
-
-    def test_ula_steering_real(self):
-        v = ula_steering_real(8, 0.0)
-        np.testing.assert_allclose(v, [1, 1, 1, 1, 0, 0, 0, 0], atol=1e-14)
-        v = ula_steering_real(8, np.pi / 6)  # sin = 0.5, phase step pi/2
-        np.testing.assert_allclose(v[:4], [1, 0, -1, 0], atol=1e-12)
-        np.testing.assert_allclose(v[4:], [0, 1, 0, -1], atol=1e-12)
-        with pytest.raises(ValueError):
-            ula_steering_real(7, 0.1)
-
-
-class TestVecKron:
-    def test_vec_identity_matrix(self):
-        np.testing.assert_array_equal(vec(np.eye(2)), [1, 0, 0, 1])
-
-    def test_vec_column_stacking(self):
-        np.testing.assert_array_equal(vec(np.array([[1, 2], [3, 4]])), [1, 3, 2, 4])
-
-    def test_vec_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            vec(np.ones((2, 3)))
-
-    def test_unvec_roundtrip(self):
-        rng = np.random.default_rng(1)
-        M = rng.standard_normal((4, 4))
-        np.testing.assert_array_equal(unvec(vec(M)), M)
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_vec_kron_identity(self, n):
-        rng = np.random.default_rng(n)
-        A, S, B = (rng.standard_normal((n, n)) for _ in range(3))
-        lhs = vec(A @ S @ B)
-        rhs = kron(B.T, A) @ vec(S)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_kron_block_diagonal(self):
-        B = np.array([[1.0, 2.0], [3.0, 4.0]])
-        expected = np.block([[B, np.zeros((2, 2))], [np.zeros((2, 2)), B]])
-        np.testing.assert_array_equal(kron(np.eye(2), B), expected)
-
-    def test_kron_scalar_identity(self):
-        A = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(kron(A, np.eye(1)), A)
-
-    def test_kron_mixed_product(self):
-        rng = np.random.default_rng(9)
-        A, B, C, D = (rng.standard_normal((2, 2)) for _ in range(4))
-        np.testing.assert_allclose(
-            kron(A, B) @ kron(C, D), kron(A @ C, B @ D), atol=1e-12
-        )

@@ -135,7 +135,7 @@ def test_rows_match_per_sample_oracle(scenario, algorithm):
     params = AlgorithmParams(mu=mu)
     rows = _run_rows(
         model, cs, algorithm, params, np.array([mu]), range(seed, seed + trials),
-        horizon, None, every,
+        horizon, every,
     )
     refs = [
         reference_trial(model, cs, algorithm, params, horizon, seed + k, every)
@@ -177,7 +177,7 @@ def test_row_independent_of_batch(algorithm):
     k, base, horizon = 2, 40, 600
 
     def row(mus, seeds, j):
-        rows = _run_rows(model, cs, algorithm, params, np.array(mus), seeds, horizon, None, 100)
+        rows = _run_rows(model, cs, algorithm, params, np.array(mus), seeds, horizon, 100)
         i = list(seeds).index(base + k)
         return rows.msd_ratio[i, j], rows.ea2[i, j], rows.fallback_steps[i, j], rows.max_residual[i, j]
 

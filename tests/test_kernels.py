@@ -155,7 +155,8 @@ class TestSparseSteps:
             new, aux = step(state, u, d, p, cs)
             assert cs.residual(new.w) <= 1e-9
             assert abs(s @ new.w - p.t) <= 1e-9
-            np.testing.assert_allclose(aux.P_prime @ cs.C, 0.0, atol=1e-10)
+            p_prime = cs.P - np.outer(aux.q, aux.Ps)
+            np.testing.assert_allclose(p_prime @ cs.C, 0.0, atol=1e-10)
             state = new
 
     def test_p_prime_annihilates_sign_direction(self):
@@ -165,7 +166,8 @@ class TestSparseSteps:
         p = AlgorithmParams(mu=0.05, t=3.0)
         _, aux = l1_clmls_step(state, rng.standard_normal(6), 0.3, p, cs)
         x = cs.P @ rng.standard_normal(6)
-        assert abs(aux.s @ (aux.P_prime @ x)) <= 1e-10
+        p_prime = cs.P - np.outer(aux.q, aux.Ps)
+        assert abs(aux.s @ (p_prime @ x)) <= 1e-10
 
     def test_reweighted_budget_correction(self):
         rng = np.random.default_rng(31)

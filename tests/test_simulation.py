@@ -16,8 +16,8 @@ from confilt.simulation import (
     linear_phase_system,
     match_step_size,
     noise_var_from_snr,
-    normalized_msd_db,
     optimal_constrained_wiener,
+    ratio_to_db,
     run_monte_carlo,
     segment_optima,
     sparse_system_schedule,
@@ -135,29 +135,14 @@ class TestSparseSchedule:
         assert s3 <= s2 <= s1
 
 
-class TestNormalizedMsd:
-    def test_exact_match_hits_floor(self):
-        w = np.array([1.0, 2.0])
-        assert normalized_msd_db(w, w) == -400.0
-
-    def test_zero_estimate_is_zero_db(self):
-        w_opt = np.array([3.0, 4.0])
-        assert normalized_msd_db(np.zeros(2), w_opt) == pytest.approx(0.0)
-
-    def test_ten_percent_deviation(self):
-        w_opt = np.array([1.0, 0.0, 0.0])
-        w = w_opt + np.array([0.0, 0.1, 0.0])
-        assert normalized_msd_db(w, w_opt) == pytest.approx(-20.0)
-
-    def test_mean_before_log(self):
-        w_opt = np.array([1.0, 0.0])
-        rows = np.array([[1.0, 0.1], [1.0, 0.3]])
-        expected = 10 * np.log10((0.01 + 0.09) / 2)
-        assert normalized_msd_db(rows, w_opt) == pytest.approx(expected)
-
-    def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_msd_db(np.ones(2), np.zeros(2))
+class TestRatioToDb:
+    def test_floor_and_values(self):
+        # exactly -400 dB at and below the 1e-40 floor, NaN passes through
+        for ratio, db in ((0.0, -400.0), (1e-50, -400.0), (1e-41, -400.0), (1.0, 0.0), (0.01, -20.0)):
+            assert ratio_to_db(ratio) == db
+        assert np.isnan(ratio_to_db(float("nan")))
+        got = ratio_to_db(np.array([0.0, 1e-300, 1.0, 0.01, np.nan]))
+        np.testing.assert_array_equal(got, [-400.0, -400.0, 0.0, -20.0, np.nan])
 
 
 def exp1_scenario(sigma_v2=0.01, L=10, seed=42):
@@ -332,3 +317,9 @@ class TestStepSizeMatching:
         curve = np.array([0.0, -10.0, -20.0, -28.0, -30.0, -30.0])
         assert iterations_to_within_db(curve, 3.0, -30.0) == 3
         assert iterations_to_within_db(np.array([0.0, -1.0]), 3.0, -30.0) is None
+        # an early dip does not count once the curve leaves the margin again,
+        # and NaN is outside it
+        dip = np.array([0.0, -29.0, -10.0, -20.0, -28.0, -30.0, -29.5])
+        assert iterations_to_within_db(dip, 3.0, -30.0) == 4
+        assert iterations_to_within_db(np.array([-30.0, np.nan, -30.0]), 3.0, -30.0) == 2
+        assert iterations_to_within_db(np.array([-30.0, -30.0, np.nan]), 3.0, -30.0) is None

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from confilt.constraints import build_constraint_set, linear_phase_constraints, unvec, vec
+from confilt.constraints import build_constraint_set, linear_phase_constraints
 from confilt.kernels import AlgorithmParams, DivergenceError
 from confilt.simulation import (
     SignalModel,
@@ -17,8 +17,36 @@ from confilt.theory import (
     steady_state_emse,
     transient_predictor,
     transient_sweep,
-    variance_transition,
 )
+
+
+def vec(M):
+    """Column-stacking vectorization: vec(A @ S @ B) == kron(B.T, A) @ vec(S)."""
+    return M.ravel(order="F")
+
+
+def unvec(v):
+    """Inverse of vec for a length-L^2 vector."""
+    L = int(round(np.sqrt(v.size)))
+    return v.reshape((L, L), order="F")
+
+
+def variance_transition(R, P, mu, hG, hU):
+    """One-step weighted-variance map in vec coordinates.
+
+    Returns (F, drive) with F = I - 2 mu hG kron((P R P)^T, I) and
+    drive = mu^2 hU vec(P R P), so that for any weighting matrix S,
+    unvec(F @ vec(S)) == S - 2 mu hG S (P R P). The L^2 x L^2 oracle for
+    the recursion that `transient_sweep` steps in M's eigenbasis.
+    """
+    R = np.asarray(R, dtype=float)
+    P = np.asarray(P, dtype=float)
+    if R.shape != P.shape or R.ndim != 2 or R.shape[0] != R.shape[1]:
+        raise ValueError(f"R and P must be square and same shape, got {R.shape} vs {P.shape}")
+    L = R.shape[0]
+    M = P @ R @ P
+    F = np.eye(L * L) - (2.0 * mu * hG) * np.kron(M.T, np.eye(L))
+    return F, (mu * mu * hU) * vec(M)
 
 
 def quad_oracle(integrand, sigma_e2):
@@ -85,6 +113,14 @@ class TestMomentFunctionals:
 
 
 class TestVarianceTransition:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_vec_kron_identity(self, n):
+        rng = np.random.default_rng(n)
+        A, S, B = (rng.standard_normal((n, n)) for _ in range(3))
+        lhs = vec(A @ S @ B)
+        rhs = np.kron(B.T, A) @ vec(S)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
     def test_mu_zero(self):
         rng = np.random.default_rng(0)
         L = 3
