@@ -186,7 +186,7 @@ _KEYS = (
          "noise variance; mutually exclusive with snr_db_list", _at_least(0),
          {"exp2-snr": None, "exp3": "0.1"}),
     _Key("scenario", "snr_db_list", "snr_db_list", _FLOATS, None,
-         "one run point per SNR in dB; not with mu_list",
+         "one run point per SNR in dB of the actual desired signal; not with mu_list",
          _each(lambda v: None if abs(v) <= 300 else "must lie within +-300 dB"),
          {"exp2-snr": "30, 25, 20"}),
     _Key("scenario", "mu_list", "mu_list", _FLOATS, None, "one run point per step size",
@@ -302,26 +302,26 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
     return ExperimentConfig(**values, notes=notes)
 
 
+def _signal_model(cfg: ExperimentConfig, sigma_v2: float) -> SignalModel:
+    """The unknown system, drawn from system_seed, under the configured input."""
+    rng = np.random.default_rng(cfg.system_seed)
+    if cfg.experiment == "exp3":
+        w_sys = sparse_system_schedule(cfg.filter_length, cfg.horizon, rng)
+    else:
+        w_sys = linear_phase_system(cfg.filter_length, rng)
+    if cfg.input_kind == "ar1":
+        return ar1_signal_model(cfg.ar1_rho, sigma_v2, w_sys)
+    return white_signal_model(sigma_v2, w_sys)
+
+
 def build_scenario(cfg: ExperimentConfig, sigma_v2: float) -> tuple[SignalModel, ConstraintSet | None]:
     """Unknown system, input statistics and constraint set for one run point."""
-    rng = np.random.default_rng(cfg.system_seed)
+    model = _signal_model(cfg, sigma_v2)
     L = cfg.filter_length
-    if cfg.experiment == "exp3":
-        w_sys = sparse_system_schedule(L, cfg.horizon, rng)
-        first = w_sys.systems[0]
-    else:
-        w_sys = linear_phase_system(L, rng)
-        first = w_sys
-
-    if cfg.input_kind == "ar1":
-        model = ar1_signal_model(cfg.ar1_rho, sigma_v2, w_sys)
-    else:
-        model = white_signal_model(sigma_v2, w_sys)
-
     if cfg.constraint == "none":
         cs = None
     elif cfg.constraint == "dc-gain":
-        cs = build_constraint_set(np.ones((L, 1)), np.array([float(np.sum(first))]))
+        cs = build_constraint_set(np.ones((L, 1)), np.array([float(np.sum(model.w_sys.systems[0]))]))
     else:
         cs = linear_phase_constraints(L)
     return model, cs
@@ -330,7 +330,8 @@ def build_scenario(cfg: ExperimentConfig, sigma_v2: float) -> tuple[SignalModel,
 def _points(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
     """(label, sigma_v2, mu) per run point; distinct list entries get distinct labels."""
     if cfg.snr_db_list:
-        return [(f"snr{_exact(snr)}", noise_var_from_snr(snr), cfg.mu) for snr in cfg.snr_db_list]
+        noiseless = _signal_model(cfg, 0.0)
+        return [(f"snr{_exact(snr)}", noise_var_from_snr(snr, noiseless), cfg.mu) for snr in cfg.snr_db_list]
     if cfg.mu_list:
         return [(f"mu{_exact(mu)}", cfg.sigma_v2, mu) for mu in cfg.mu_list]
     return [("", cfg.sigma_v2, cfg.mu)]

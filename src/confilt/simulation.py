@@ -40,7 +40,7 @@ rows keep their bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ DB_FLOOR = -400.0
 _RATIO_FLOOR = 10.0 ** (DB_FLOOR / 10.0)
 
 _SIGMA_U2 = 1.0  # variance of the white input stream
-_SIGNAL_POWER = 1.0  # power of the noiseless desired signal, for the SNR
 _SPARSITIES = (0.0, 0.5, 0.9)  # zeroed share of the taps in each third
 _WINDOW_FRAC = 0.1  # final share of a curve averaged for its steady state
 
@@ -64,7 +63,8 @@ class EnsembleDivergedError(RuntimeError):
 class SystemSchedule:
     """Piecewise-constant true system: systems[k] is active on
     [boundaries[k], boundaries[k+1]) with an implicit final boundary at
-    the horizon."""
+    the horizon. A fixed system w is the one-segment schedule
+    SystemSchedule((w,), (0,))."""
 
     systems: tuple[np.ndarray, ...]
     boundaries: tuple[int, ...]  # start index of each segment; first is 0
@@ -74,29 +74,33 @@ class SystemSchedule:
             raise ValueError("schedule needs one start index per segment, first at 0")
 
 
+def _as_schedule(w_sys: np.ndarray | SystemSchedule) -> SystemSchedule:
+    if isinstance(w_sys, SystemSchedule):
+        return w_sys
+    return SystemSchedule((np.asarray(w_sys),), (0,))
+
+
 @dataclass(frozen=True)
 class SignalModel:
     """Input statistics, observation noise and the true system.
 
-    R is the covariance of the tap-input vector; p = R w_sys is the
-    cross-correlation (None for scheduled systems, where it is computed
-    per segment).
+    R is the covariance of the tap-input vector. w_sys is always a
+    SystemSchedule: a fixed system given as an array becomes the one-segment
+    schedule.
     """
 
     R: np.ndarray
     sigma_v2: float
-    w_sys: np.ndarray | SystemSchedule
+    w_sys: SystemSchedule
     input_kind: str = "white"
     rho: float = 0.0
-    p: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         if self.sigma_v2 < 0:
             raise ValueError(f"noise variance must be >= 0, got {self.sigma_v2}")
         if self.input_kind not in ("white", "ar1"):
             raise ValueError(f"unknown input kind {self.input_kind!r}")
-        if self.p is None and isinstance(self.w_sys, np.ndarray):
-            object.__setattr__(self, "p", self.R @ self.w_sys)
+        object.__setattr__(self, "w_sys", _as_schedule(self.w_sys))
 
     @property
     def n_taps(self) -> int:
@@ -105,7 +109,7 @@ class SignalModel:
 
 def white_signal_model(sigma_v2: float, w_sys: np.ndarray | SystemSchedule) -> SignalModel:
     """White Gaussian tap inputs with unit variance."""
-    L = _system_length(w_sys)
+    L = len(_as_schedule(w_sys).systems[0])
     return SignalModel(R=_SIGMA_U2 * np.eye(L), sigma_v2=sigma_v2, w_sys=w_sys)
 
 
@@ -113,15 +117,9 @@ def ar1_signal_model(rho: float, sigma_v2: float, w_sys: np.ndarray | SystemSche
     """AR(1) stream with unit stationary variance; R_ij = rho^|i-j|."""
     if not -1 < rho < 1:
         raise ValueError(f"AR(1) coefficient must be in (-1, 1), got {rho}")
-    idx = np.arange(_system_length(w_sys))
+    idx = np.arange(len(_as_schedule(w_sys).systems[0]))
     R = rho ** np.abs(idx[:, None] - idx[None, :])
     return SignalModel(R=R, sigma_v2=sigma_v2, w_sys=w_sys, input_kind="ar1", rho=rho)
-
-
-def _system_length(w_sys) -> int:
-    if isinstance(w_sys, SystemSchedule):
-        return w_sys.systems[0].shape[0]
-    return np.asarray(w_sys).shape[0]
 
 
 def linear_phase_system(L: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,23 +130,27 @@ def linear_phase_system(L: int, rng: np.random.Generator) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def noise_var_from_snr(snr_db: float) -> float:
-    """Observation-noise variance giving the requested SNR for a unit-power
-    desired signal (unit-norm system, unit-variance input)."""
-    return _SIGNAL_POWER / (10.0 ** (snr_db / 10.0))
+def noise_var_from_snr(snr_db: float, model: SignalModel) -> float:
+    """Observation-noise variance that puts the desired signal of `model`
+    at `snr_db` (the model's own sigma_v2 is not read).
 
-
-def optimal_constrained_wiener(model: SignalModel, cs: ConstraintSet) -> np.ndarray:
-    """Constrained Wiener solution w_o = h + R^{-1} C (C^T R C)^{-1} (z - C^T h).
-
-    h = R^{-1} p is the unconstrained optimum; the correction restores
-    feasibility in the R metric. Raises numpy.linalg.LinAlgError when R or
-    C^T R C is singular.
+    The signal power is that of the first segment's system w, scaled to unit
+    norm: w^T R w / w^T w. Every system the experiments draw has unit norm,
+    so this is the power w^T R w of the noiseless desired signal up to
+    rounding, and exactly 1 for white unit-variance input. A schedule's
+    later segments may carry other powers; the SNR is that of its first.
     """
-    if isinstance(model.w_sys, SystemSchedule):
-        raise TypeError("scheduled systems: use segment_optima()")
-    h = np.linalg.solve(model.R, model.p)
-    rinv_c = np.linalg.solve(model.R, cs.C)
+    w = model.w_sys.systems[0]
+    return float(w @ (model.R @ w) / (w @ w)) / (10.0 ** (snr_db / 10.0))
+
+
+def _optimum(R: np.ndarray, w_sys: np.ndarray, cs: ConstraintSet | None) -> np.ndarray:
+    """The Wiener solution h = R^{-1} p, p = R w_sys, or with a constraint set
+    the constrained one, w_o = h + R^{-1} C (C^T R C)^{-1} (z - C^T h)."""
+    h = np.linalg.solve(R, R @ w_sys)
+    if cs is None:
+        return h
+    rinv_c = np.linalg.solve(R, cs.C)
     A = cs.C.T @ rinv_c
     w_o = h + rinv_c @ np.linalg.solve(A, cs.z - cs.C.T @ h)
     if not np.all(np.isfinite(w_o)):
@@ -156,22 +158,24 @@ def optimal_constrained_wiener(model: SignalModel, cs: ConstraintSet) -> np.ndar
     return w_o
 
 
+def optimal_constrained_wiener(model: SignalModel, cs: ConstraintSet) -> np.ndarray:
+    """Constrained Wiener solution w_o = h + R^{-1} C (C^T R C)^{-1} (z - C^T h)
+    of a fixed system, the one-segment case of `segment_optima`.
+
+    h = R^{-1} p is the unconstrained optimum; the correction restores
+    feasibility in the R metric. Raises TypeError for a schedule of more
+    than one segment, and numpy.linalg.LinAlgError when R or C^T R C is
+    singular.
+    """
+    if len(model.w_sys.systems) > 1:
+        raise TypeError("scheduled systems: use segment_optima()")
+    return _optimum(model.R, model.w_sys.systems[0], cs)
+
+
 def segment_optima(model: SignalModel, cs: ConstraintSet | None) -> list[np.ndarray]:
     """Per-segment reference optima: the constrained Wiener solution when a
     constraint set is given, otherwise the unconstrained one (h = w_sys)."""
-    systems = (
-        model.w_sys.systems
-        if isinstance(model.w_sys, SystemSchedule)
-        else (model.w_sys,)
-    )
-    out = []
-    for w_sys in systems:
-        seg_model = replace(model, w_sys=np.asarray(w_sys), p=None)
-        if cs is None:
-            out.append(np.linalg.solve(seg_model.R, seg_model.p))
-        else:
-            out.append(optimal_constrained_wiener(seg_model, cs))
-    return out
+    return [_optimum(model.R, w_sys, cs) for w_sys in model.w_sys.systems]
 
 
 def generate_signals(
@@ -197,15 +201,10 @@ def generate_signals(
     U = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, L)[:, ::-1])
     v = math.sqrt(model.sigma_v2) * rng.standard_normal(length) if model.sigma_v2 > 0 else np.zeros(length)
 
-    if isinstance(model.w_sys, SystemSchedule):
-        d = np.empty(length)
-        bounds = list(model.w_sys.boundaries) + [length]
-        for k, w_sys in enumerate(model.w_sys.systems):
-            a, b = bounds[k], min(bounds[k + 1], length)
-            if a < b:
-                d[a:b] = U[a:b] @ w_sys + v[a:b]
-    else:
-        d = U @ model.w_sys + v
+    d = np.empty(length)
+    starts = model.w_sys.boundaries
+    for a, b, w_sys in zip(starts, (*starts[1:], length), model.w_sys.systems):
+        d[a:b] = U[a:b] @ w_sys + v[a:b]
     return U, d
 
 
@@ -241,23 +240,20 @@ def l1_budget_for(w_o: np.ndarray, reweighted: bool, beta_slope: float) -> float
 
 @dataclass(eq=False)
 class RunResult:
-    """Ensemble-averaged learning curves plus reproduction metadata."""
+    """Ensemble-averaged learning curves and the run's divergence, fallback
+    and constraint-residual counts."""
 
-    algorithm: str
     trials: int
-    completed_trials: int
     diverged_trials: int
     # per diverged trial, in trial order: the sample whose error was first
     # non-finite (horizon when only the final weights were)
     diverged_at: list[int]
-    base_seed: int
     msd_db: np.ndarray  # 10 log10(mean ||w_o - w||^2 / ||w_o||^2)
     msd_ratio: np.ndarray  # linear-domain mean
     msd_ratio_se: np.ndarray  # ensemble standard error of the mean ratio
     emse: np.ndarray  # mean a-priori excess error power
     fallback_steps: int
     max_residual: float
-    config: dict
 
 
 def ratio_to_db(ratio: np.ndarray | float) -> np.ndarray | float:
@@ -277,11 +273,7 @@ def _resolve_references(
         ]
     else:
         seg_params = [params] * len(optima)
-    if isinstance(model.w_sys, SystemSchedule):
-        starts = list(model.w_sys.boundaries)
-    else:
-        starts = [0]
-    return optima, seg_params, starts
+    return optima, seg_params, list(model.w_sys.boundaries)
 
 
 # Bytes of inputs, curves and block buffers one engine pass may hold; larger
@@ -291,6 +283,10 @@ _PASS_BYTES = 1 << 26
 # Steps per block: enough to spread each block's reductions over many steps,
 # few enough that a pass's weight ring stays small next to its curves.
 _BLOCK = 256
+
+# Constrained runs check the constraint residual after every step whose
+# index is a multiple of this.
+_RESIDUAL_CHECK_EVERY = 100
 
 
 def _log_kernel_rows(e: np.ndarray, alpha: float) -> np.ndarray:
@@ -329,7 +325,6 @@ def _run_rows(
     mus: np.ndarray,
     seeds,
     horizon: int,
-    residual_check_every: int,
 ) -> _Rows:
     """Step every (seed, mu) row through `horizon` samples at once."""
     spec = ALGORITHMS[algorithm]
@@ -464,7 +459,7 @@ def _run_rows(
                 fallback_steps += np.sum(degenerate[:k] & completed, axis=0)
             if spec.constrained:
                 # the residual after each step n divisible by the interval
-                checks = np.arange(-b % residual_check_every, k, residual_check_every)
+                checks = np.arange(-b % _RESIDUAL_CHECK_EVERY, k, _RESIDUAL_CHECK_EVERY)
                 resid = np.max(np.abs((cs.C.T @ ring[checks + 1][..., None])[..., 0] - cs.z), axis=-1)
                 # like max(), fmax skips NaN
                 resid = np.fmax.reduce(np.where(completed[checks], resid, 0.0), axis=0, initial=0.0)
@@ -500,7 +495,6 @@ def run_step_size_sweep(
     horizon: int,
     base_seed: int,
     cs: ConstraintSet | None = None,
-    residual_check_every: int = 100,
 ) -> list[RunResult]:
     """Ensemble-average an algorithm at each step size in `mus`.
 
@@ -540,9 +534,7 @@ def run_step_size_sweep(
     per_pass = max(1, _PASS_BYTES // per_trial)
     for first in range(base_seed, base_seed + trials, per_pass):
         seeds = range(first, min(first + per_pass, base_seed + trials))
-        rows = _run_rows(
-            model, cs, algorithm, params, mu_rows, seeds, horizon, residual_check_every,
-        )
+        rows = _run_rows(model, cs, algorithm, params, mu_rows, seeds, horizon)
         # diverged rows are zero, so every trial can be added in trial order
         for ratio, ea2 in zip(rows.msd_ratio, rows.ea2):
             np.add(sum_ratio, ratio, out=sum_ratio)
@@ -572,35 +564,16 @@ def run_step_size_sweep(
             se = np.sqrt(var / (done - 1))
         else:
             se = np.zeros(horizon)
-        config = {
-            "algorithm": algorithm,
-            "trials": trials,
-            "horizon": horizon,
-            "base_seed": base_seed,
-            "mu": run.mu,
-            "alpha": run.alpha,
-            "t": run.t,
-            "beta_slope": run.beta_slope,
-            "sigma_v2": model.sigma_v2,
-            "input_kind": model.input_kind,
-            "rho": model.rho,
-            "n_taps": model.n_taps,
-            "constrained": spec.constrained,
-        }
         results.append(RunResult(
-            algorithm=algorithm,
             trials=trials,
-            completed_trials=done,
             diverged_trials=trials - done,
             diverged_at=diverged_at[j],
-            base_seed=base_seed,
             msd_db=np.asarray(ratio_to_db(mean_ratio)),
             msd_ratio=mean_ratio,
             msd_ratio_se=se,
             emse=sum_ea2[j] / done,
             fallback_steps=int(fallback_steps[j]),
             max_residual=float(max_residual[j]),
-            config=config,
         ))
     return results
 
@@ -614,7 +587,6 @@ def run_monte_carlo(
     base_seed: int,
     cs: ConstraintSet | None = None,
     n_workers: int = 1,
-    residual_check_every: int = 100,
 ) -> RunResult:
     """Ensemble-average an algorithm over independent trials at params.mu.
 
@@ -622,10 +594,7 @@ def run_monte_carlo(
     and ignored: the row engine runs in one process, and the argument stays
     because perfbench/tracing.py still passes n_workers=2.
     """
-    return run_step_size_sweep(
-        model, algorithm, params, [params.mu], trials, horizon, base_seed,
-        cs=cs, residual_check_every=residual_check_every,
-    )[0]
+    return run_step_size_sweep(model, algorithm, params, [params.mu], trials, horizon, base_seed, cs=cs)[0]
 
 
 def _final_window_mean(curve: np.ndarray) -> float:

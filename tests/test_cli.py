@@ -303,6 +303,20 @@ def test_predict_rows_go_through_the_csv_writer(tmp_path, capsys, monkeypatch):
     assert text.endswith("iteration,theory_msd_db,theory_emse\n" + rows)
 
 
+@pytest.mark.parametrize("input_kind", ["white", "ar1"])
+def test_snr_labels_are_those_of_the_desired_signal(tmp_path, input_kind):
+    # at the exp2-snr defaults AR(1) input gives the desired signal power
+    # w^T R w = 1.769, not the unit power of white input
+    cfg = cli.load_config(write(tmp_path, f"[experiment]\nid = exp2-snr\n\n[scenario]\ninput = {input_kind}\n"))
+    w = cli.linear_phase_system(cfg.filter_length, np.random.default_rng(cfg.system_seed))
+    points = cli._points(cfg)
+    assert [label for label, _, _ in points] == ["snr30", "snr25", "snr20"]
+    for (_, sigma_v2, _), snr in zip(points, cfg.snr_db_list):
+        model, _ = cli.build_scenario(cfg, sigma_v2)
+        assert model.sigma_v2 == sigma_v2
+        assert abs(10 * np.log10(w @ model.R @ w / sigma_v2) - snr) < 1e-9
+
+
 def test_echo_layout(tmp_path):
     cfg = write(tmp_path, f"[experiment]\nid = exp2-snr\n{SHORT}")
     assert cli._config_echo(cli.load_config(cfg)) == (

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from confilt import simulation
 from confilt.constraints import build_constraint_set, linear_phase_constraints
 from confilt.kernels import AlgorithmParams
 from confilt.simulation import (
@@ -19,6 +20,7 @@ from confilt.simulation import (
     optimal_constrained_wiener,
     ratio_to_db,
     run_monte_carlo,
+    run_step_size_sweep,
     segment_optima,
     sparse_system_schedule,
     steady_state_plateau_db,
@@ -62,9 +64,41 @@ class TestWiener:
 
         model = SignalModel(R=R, sigma_v2=0.02, w_sys=w_sys)
         w_o = optimal_constrained_wiener(model, cs)
-        h = np.linalg.solve(R, model.p)
+        h = np.linalg.solve(R, R @ w_sys)
         np.testing.assert_allclose(w_o, kkt_oracle(R, h, cs.C, cs.z), atol=1e-9)
         assert cs.residual(w_o) <= 1e-10
+
+
+class TestFixedSystemIsOneSegment:
+    @pytest.mark.parametrize(
+        "make", [white_signal_model, lambda v, w: ar1_signal_model(0.5, v, w)], ids=["white", "ar1"]
+    )
+    def test_same_bits_as_explicit_schedule(self, make):
+        cs = linear_phase_constraints(10)
+        w_sys = linear_phase_system(10, np.random.default_rng(42))
+        fixed, sched = make(0.01, w_sys), make(0.01, SystemSchedule((w_sys,), (0,)))
+        for a, b in zip(generate_signals(fixed, 300, np.random.default_rng(3)),
+                        generate_signals(sched, 300, np.random.default_rng(3))):
+            assert np.array_equal(a, b)
+        for a, b in zip(segment_optima(fixed, cs), segment_optima(sched, cs)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(optimal_constrained_wiener(fixed, cs), optimal_constrained_wiener(sched, cs))
+        for algorithm in ("clmls", "l1-clmls"):
+            runs = [
+                run_step_size_sweep(m, algorithm, AlgorithmParams(mu=0.05), [0.02, 0.05], 3, 300, 5, cs=cs)
+                for m in (fixed, sched)
+            ]
+            for a, b in zip(*runs):
+                assert np.array_equal(a.msd_ratio, b.msd_ratio)
+                assert np.array_equal(a.msd_ratio_se, b.msd_ratio_se)
+                assert np.array_equal(a.emse, b.emse)
+                assert (a.fallback_steps, a.max_residual) == (b.fallback_steps, b.max_residual)
+
+    def test_wiener_refuses_a_schedule(self):
+        sched = sparse_system_schedule(8, 300, np.random.default_rng(1))
+        model = white_signal_model(0.01, sched)
+        with pytest.raises(TypeError, match="segment_optima"):
+            optimal_constrained_wiener(model, linear_phase_constraints(8))
 
 
 class TestSignals:
@@ -109,9 +143,10 @@ class TestSignals:
         np.testing.assert_allclose(d[5:], U[5:] @ systems[1])
 
     def test_snr_mapping(self):
-        assert noise_var_from_snr(20.0) == pytest.approx(0.01)
-        assert noise_var_from_snr(25.0) == pytest.approx(0.0031622776601)
-        assert noise_var_from_snr(30.0) == pytest.approx(0.001)
+        model = white_signal_model(0.0, linear_phase_system(10, np.random.default_rng(7)))
+        assert noise_var_from_snr(20.0, model) == pytest.approx(0.01)
+        assert noise_var_from_snr(25.0, model) == pytest.approx(0.0031622776601)
+        assert noise_var_from_snr(30.0, model) == pytest.approx(0.001)
 
 
 class TestSparseSchedule:
@@ -155,7 +190,7 @@ class TestMonteCarlo:
     def test_zero_step_size_constant_curve(self):
         model, cs = exp1_scenario()
         res = run_monte_carlo(model, "clmls", AlgorithmParams(mu=0.0), 1, 50, 7, cs=cs)
-        assert res.completed_trials == 1
+        assert res.diverged_trials == 0
         np.testing.assert_allclose(res.msd_ratio, res.msd_ratio[0])
         assert res.msd_ratio[0] == pytest.approx(1.0)  # w(0) = f = 0
 
@@ -201,12 +236,10 @@ class TestMonteCarlo:
         ratio = np.mean(a.msd_ratio_se[tail]) / np.mean(b.msd_ratio_se[tail])
         assert ratio == pytest.approx(2.0, rel=0.2)
 
-    def test_constraint_residual_tracked(self):
+    def test_constraint_residual_tracked(self, monkeypatch):
         model, cs = exp1_scenario()
-        res = run_monte_carlo(
-            model, "clmls", AlgorithmParams(mu=0.05), 3, 500, 11, cs=cs,
-            residual_check_every=10,
-        )
+        monkeypatch.setattr(simulation, "_RESIDUAL_CHECK_EVERY", 10)
+        res = run_monte_carlo(model, "clmls", AlgorithmParams(mu=0.05), 3, 500, 11, cs=cs)
         assert res.max_residual <= 1e-10 * (1 + np.max(np.abs(cs.z)))
 
     def test_divergent_trials_dropped_and_counted(self):
@@ -232,7 +265,6 @@ class TestMonteCarlo:
         res = run_monte_carlo(model, "clmls", AlgorithmParams(mu=1.0), 6, 1500, 1, cs=cs)
         assert res.diverged_at == [n for n in alone if n is not None]
         assert 0 < res.diverged_trials == len(res.diverged_at) < 6
-        assert res.completed_trials == 6 - res.diverged_trials
         assert all(0 < n < 1500 for n in res.diverged_at)
 
     def test_degenerate_fallback_counted(self):
