@@ -10,7 +10,6 @@ from .kernels import (
     ALGORITHMS,
     AlgorithmParams,
     DegenerateDirectionError,
-    DivergenceError,
     FilterState,
     SparseStepAux,
     clms_step,
@@ -52,7 +51,6 @@ from .theory import (
     h_G,
     h_U,
     steady_state_emse,
-    transient_predictor,
     transient_sweep,
 )
 

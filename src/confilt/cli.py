@@ -17,6 +17,10 @@ override all three. Keys the table does not list are ignored, and
 `validate` names each of them.
 
 Exit codes: 0 success, 1 config error, 2 runtime divergence, 3 I/O error.
+`run` exits 2 when every trial at a step size diverges or the step-size
+matcher cannot reach its target; `predict` exits 2, writing nothing, when its
+theory recursion diverges. A `run` point whose recursion diverges keeps its
+simulated columns, loses its theory columns and prints a warning.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .constraints import ConstraintSet, build_constraint_set, linear_phase_constraints
-from .kernels import ALGORITHMS, AlgorithmParams, DivergenceError
+from .kernels import ALGORITHMS, AlgorithmParams
 from .simulation import (
     EnsembleDivergedError,
     SignalModel,
@@ -50,7 +54,7 @@ from .simulation import (
     steady_state_plateau_db,
     white_signal_model,
 )
-from .theory import steady_state_emse, transient_predictor, transient_sweep
+from .theory import steady_state_emse, transient_sweep
 
 EXPERIMENT_IDS = ("exp1", "exp2-snr", "exp2-mu", "exp3", "custom")
 
@@ -364,6 +368,15 @@ def _config_echo(cfg: ExperimentConfig) -> str:
     return "\n\n".join(blocks)
 
 
+def _theory(model: SignalModel, cs: ConstraintSet, base: AlgorithmParams, mus, horizon: int) -> list[tuple]:
+    """(transient trace, closed form, ||w_o||^2) at each step size in `mus`,
+    from one recursion over all of them."""
+    traces = transient_sweep(model, cs, base, mus, np.zeros(model.n_taps), horizon)
+    w_o = optimal_constrained_wiener(model, cs)
+    preds = [steady_state_emse(model, cs, replace(base, mu=mu)) for mu in mus]
+    return [(trace, pred, float(w_o @ w_o)) for trace, pred in zip(traces, preds)]
+
+
 # reference partner for plateau matching: matched algorithm -> reference
 _MATCH_PAIRS = {"lms": "lmls", "clms": "clmls"}
 
@@ -400,11 +413,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
             )
             results.update(((i, name), res) for i, res in zip(group, sweep))
         if want_theory:
-            group_mus = [mus[i, "clmls"] for i in group]
-            traces = transient_sweep(model, cs, base, group_mus, np.zeros(model.n_taps), cfg.horizon)
-            w_o = optimal_constrained_wiener(model, cs)
-            for i, mu, trace in zip(group, group_mus, traces):
-                theory[i] = trace, steady_state_emse(model, cs, replace(base, mu=mu)), float(w_o @ w_o)
+            theory.update(zip(group, _theory(model, cs, base, [mus[i, "clmls"] for i in group], cfg.horizon)))
 
     summary: list[str] = [f"# confilt run summary: {cfg.experiment}", ""]
     theory_lines: list[str] = []
@@ -479,7 +488,8 @@ def _write_plot_script(out_dir: Path, cfg, csv_files: dict[str, str], theory_fil
     (out_dir / "plot.gp").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def run_predict(cfg: ExperimentConfig, out_dir: Path) -> None:
+def run_predict(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """Write the theory curves of the single run point; the exit code."""
     points = _points(cfg)
     if len(points) != 1:
         raise ConfigError(
@@ -496,9 +506,10 @@ def run_predict(cfg: ExperimentConfig, out_dir: Path) -> None:
     if cs is None:
         raise ConfigError("predict requires a constrained scenario")
     params = AlgorithmParams(mu=mu, alpha=cfg.alpha, t=cfg.l1_budget, beta_slope=cfg.beta_slope)
-    w_o = optimal_constrained_wiener(model, cs)
-    trace = transient_predictor(model, cs, params, np.zeros(model.n_taps), cfg.horizon)
-    pred = steady_state_emse(model, cs, params)
+    ((trace, pred, w_o2),) = _theory(model, cs, params, [mu], cfg.horizon)
+    if trace.diverged_at is not None:
+        print(f"predict failed: theory recursion diverged at iteration {trace.diverged_at}", file=sys.stderr)
+        return EXIT_DIVERGED
 
     preamble = [
         f"# steady_state_emse = {_fmt(pred.emse)}",
@@ -515,10 +526,11 @@ def run_predict(cfg: ExperimentConfig, out_dir: Path) -> None:
     path = out_dir / f"{cfg.experiment}_predict{('_' + label) if label else ''}.csv"
     _write_csv(
         path, ["iteration", "theory_msd_db", "theory_emse"],
-        [np.arange(cfg.horizon + 1), np.asarray(ratio_to_db(trace.msd / float(w_o @ w_o))), trace.emse],
+        [np.arange(cfg.horizon + 1), np.asarray(ratio_to_db(trace.msd / w_o2)), trace.emse],
         preamble,
     )
     print(f"wrote {path}")
+    return EXIT_OK
 
 
 def cmd_init(args) -> int:
@@ -560,7 +572,7 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         run_experiment(cfg, Path(cfg.out_dir))
-    except (EnsembleDivergedError, StepSizeMatchError, DivergenceError) as exc:
+    except (EnsembleDivergedError, StepSizeMatchError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except OSError as exc:
@@ -573,17 +585,13 @@ def cmd_run(args) -> int:
 def cmd_predict(args) -> int:
     try:
         cfg = _load_with_overrides(args)
-        run_predict(cfg, Path(cfg.out_dir))
+        return run_predict(cfg, Path(cfg.out_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"predict failed: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

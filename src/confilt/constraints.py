@@ -46,10 +46,6 @@ class ConstraintSet:
     P: np.ndarray  # (L, L), symmetric idempotent, P C = 0
     f: np.ndarray  # (L,), C^T f = z
 
-    @property
-    def n_taps(self) -> int:
-        return self.C.shape[0]
-
     def residual(self, w: np.ndarray) -> float:
         """Max-norm feasibility residual ||C^T w - z||_inf."""
         return float(np.max(np.abs(self.C.T @ w - self.z)))

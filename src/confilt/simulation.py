@@ -56,7 +56,12 @@ _WINDOW_FRAC = 0.1  # final share of a curve averaged for its steady state
 
 
 class EnsembleDivergedError(RuntimeError):
-    """Every trial of a Monte-Carlo run diverged."""
+    """Every trial at some step size of a sweep diverged; `results` holds the
+    sweep's results, None where every trial diverged."""
+
+    def __init__(self, message: str, results: list[RunResult | None]):
+        super().__init__(message)
+        self.results = results
 
 
 @dataclass(frozen=True)
@@ -500,9 +505,9 @@ def run_step_size_sweep(
 
     Every trial starts from w = 0, projected onto the constraints, and
     trial k uses generator seed base_seed + k for every step size. Diverged
-    trials are dropped from the averages and counted; a step size at which
-    every trial diverges raises EnsembleDivergedError. Each result is
-    bit-identical to a run of that step size alone.
+    trials are dropped from the averages and counted; if every trial diverges
+    at some step size, EnsembleDivergedError names the first and carries all
+    results. Each result is bit-identical to a run of that step size alone.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -513,17 +518,16 @@ def run_step_size_sweep(
     spec = ALGORITHMS[algorithm]
     if spec.constrained and cs is None:
         raise ValueError(f"{algorithm} requires a constraint set")
-    runs = [replace(params, mu=float(mu)) for mu in mus]
-    if not runs:
+    mu_rows = np.array([float(mu) for mu in mus])
+    if not mu_rows.size:
         raise ValueError("need at least one step size")
-    n_mu = len(runs)
-    mu_rows = np.array([p.mu for p in runs])
+    n_mu = len(mu_rows)
 
     sum_ratio = np.zeros((n_mu, horizon))
     sum_ratio_sq = np.zeros((n_mu, horizon))
     sum_ea2 = np.zeros((n_mu, horizon))
     completed = np.zeros(n_mu, dtype=int)
-    diverged_at: list[list[int]] = [[] for _ in runs]
+    diverged_at: list[list[int]] = [[] for _ in range(n_mu)]
     fallback_steps = np.zeros(n_mu, dtype=int)
     max_residual = np.zeros(n_mu)
 
@@ -547,24 +551,16 @@ def run_step_size_sweep(
         max_residual = np.maximum(max_residual, np.max(rows.max_residual, axis=0))
         del rows, ratio, ea2  # free the curves before the next pass allocates its own
 
-    results = []
-    for j, run in enumerate(runs):
+    results: list[RunResult | None] = [None] * n_mu  # None: every trial diverged
+    for j in np.flatnonzero(completed):
         done = int(completed[j])
-        if done == 0:
-            # every trial diverged, so list positions are trial numbers
-            first_bad = min(diverged_at[j])
-            raise EnsembleDivergedError(
-                f"all {trials} trials of {algorithm} at mu = {run.mu:g} diverged "
-                f"(mu too large?); the first at iteration {first_bad} of trial "
-                f"{diverged_at[j].index(first_bad)}"
-            )
         mean_ratio = sum_ratio[j] / done
         if done > 1:
             var = np.maximum(sum_ratio_sq[j] / done - mean_ratio**2, 0.0)
             se = np.sqrt(var / (done - 1))
         else:
             se = np.zeros(horizon)
-        results.append(RunResult(
+        results[j] = RunResult(
             trials=trials,
             diverged_trials=trials - done,
             diverged_at=diverged_at[j],
@@ -574,7 +570,16 @@ def run_step_size_sweep(
             emse=sum_ea2[j] / done,
             fallback_steps=int(fallback_steps[j]),
             max_residual=float(max_residual[j]),
-        ))
+        )
+    if None in results:
+        # every trial diverged there, so list positions are trial numbers
+        j = results.index(None)
+        first_bad = min(diverged_at[j])
+        raise EnsembleDivergedError(
+            f"all {trials} trials of {algorithm} at mu = {mu_rows[j]:g} diverged (mu too large?); "
+            f"the first at iteration {first_bad} of trial {diverged_at[j].index(first_bad)}",
+            results,
+        )
     return results
 
 
@@ -663,14 +668,19 @@ def match_step_size(
     geometric scan locates the rising branch, then bisection refines on it.
     The scan runs as one step-size sweep; the bisection probes run one mu
     each. All probes reuse the same trial seeds (common random numbers), so
-    the plateau is a smooth function of mu. Returns mu whose plateau is within
-    _MATCH_TOL_DB of the target once the bracket's relative width is at most
-    _MATCH_REL_WIDTH, else the best of _MATCH_MAX_EVALS bisection probes.
+    the plateau is a smooth function of mu; where every trial diverges it is
+    +inf dB, above any target, so the search brackets below. Returns mu whose
+    plateau is within _MATCH_TOL_DB of the target once the bracket's relative
+    width is at most _MATCH_REL_WIDTH, else the best of _MATCH_MAX_EVALS
+    bisection probes.
     """
     def plateau(mu: float) -> float:
-        res = run_monte_carlo(
-            model, algorithm, replace(params, mu=mu), trials, horizon, base_seed, cs=cs
-        )
+        try:
+            res = run_monte_carlo(
+                model, algorithm, replace(params, mu=mu), trials, horizon, base_seed, cs=cs
+            )
+        except EnsembleDivergedError:
+            return math.inf
         return steady_state_plateau_db(res)
 
     lo, hi = search_bounds
@@ -678,12 +688,11 @@ def match_step_size(
         raise ValueError(f"invalid search bounds {search_bounds}")
 
     grid = np.geomspace(lo, hi, _MATCH_GRID)
-    levels = [
-        steady_state_plateau_db(res)
-        for res in run_step_size_sweep(
-            model, algorithm, params, grid, trials, horizon, base_seed, cs=cs
-        )
-    ]
+    try:
+        sweep = run_step_size_sweep(model, algorithm, params, grid, trials, horizon, base_seed, cs=cs)
+    except EnsembleDivergedError as exc:
+        sweep = exc.results
+    levels = [math.inf if res is None else steady_state_plateau_db(res) for res in sweep]
     k_min = int(np.argmin(levels))
     if reference_msd_db < levels[k_min] - _MATCH_TOL_DB:
         raise StepSizeMatchError(

@@ -17,10 +17,13 @@ which the test oracle `variance_transition` in tests/test_theory.py builds.
     Psi_ij <- Psi_ij (1 - mu h_G (lambda_i + lambda_j)) + mu^2 h_U lambda_i [i = j],
 
 with emse = <Q^T R Q, Psi>, msd = trace(Psi), and Phi = Q Psi Q^T rebuilt
-once, at the end. A sweep steps every step size at once, one row each;
-rows share no arithmetic (elementwise updates, and one small readout
+once, at the end. `transient_sweep` is the one entry point: it steps every
+step size at once, one row each, and one step size is the one-row sweep.
+Rows share no arithmetic (elementwise updates, and one small readout
 product per row instead of one matrix product over all rows), so a row is
-bit-identical to its step size run alone.
+bit-identical to its step size run alone. A diverged row is data, not an
+error: it runs on in inf/NaN (a non-finite entry of Psi never turns finite
+again), and its trace records the first non-finite readout as diverged_at.
 
 The moment functionals of g(e) = alpha e^3 / (1 + alpha e^2) for zero-mean
 Gaussian e of variance sigma_e^2(n) = emse(n) + sigma_v^2 (Al-Naffouri &
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSet
-from .kernels import AlgorithmParams, DivergenceError
+from .kernels import AlgorithmParams
 from .simulation import SignalModel, optimal_constrained_wiener
 
 
@@ -176,8 +179,8 @@ def transient_sweep(
     feasible-start convention of the simulations. Each trace holds
     msd(n) = trace(Phi) and emse(n) = trace(R Phi) for n = 0..N and does not
     depend on the other step sizes. A row whose msd or emse turns non-finite
-    at iteration n stops there: its trace records diverged_at = n, its
-    curves are NaN from n on, and the other rows run on.
+    at iteration n runs on in inf/NaN like the others: its trace records
+    diverged_at = n and its curves are NaN from n on; nothing is raised.
     """
     if N < 1:
         raise ValueError(f"need at least one iteration, got N={N}")
@@ -197,70 +200,40 @@ def transient_sweep(
     psi = np.tile(np.outer(x0, x0).ravel(), (B, 1))  # row b: vec(Psi) at mus[b]
     psi_rows = psi[:, None, :]
     curves = np.empty((N + 1, B, 1, 2))  # [n, b, 0] = (emse, msd)
-    gain, drive = np.zeros(B), np.zeros(B)  # mu h_G and mu^2 h_U sigma_e^2 per row
-    gain_col, drive_col = gain[:, None], drive[:, None]
+    gain, drive = np.zeros((B, 1)), np.zeros((B, 1))  # mu h_G and mu^2 h_U sigma_e^2 per row
     decay, forced = np.empty_like(psi), np.empty_like(psi)
-    diverged_at: list[int | None] = [None] * B
-    active = list(range(B))
     alpha, sv2 = params.alpha, scenario.sigma_v2
-    # divergence is detected through the readout; silence the transient
-    # inf/nan arithmetic that precedes it
+    # a diverged row runs on in inf/nan, which never turns finite again;
+    # silence that arithmetic, the readout records where it began
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N + 1):
             # one small product per row, so a row's rounding is its own
             rows = np.matmul(psi_rows, read, out=curves[n]).tolist()
-            for b in list(active):
-                ((emse_n, msd_n),) = rows[b]
-                if not (math.isfinite(emse_n) and math.isfinite(msd_n)):
-                    # frozen from here: a unit decay and no drive
-                    diverged_at[b] = n
-                    active.remove(b)
-                    gain[b] = drive[b] = 0.0
-                    continue
+            for b, ((emse_n, _),) in enumerate(rows):
                 se2 = max(emse_n, 0.0) + sv2
                 hg, hu = _kernel_moments(alpha * se2)
-                gain[b] = mus[b] * hg
-                drive[b] = mus[b] * mus[b] * hu * se2
-            if n == N or not active:
+                gain[b, 0] = mus[b] * hg
+                drive[b, 0] = mus[b] * mus[b] * hu * se2
+            if n == N:
                 break
             # Psi <- Psi o (1 - mu h_G (lambda_i + lambda_j)) + mu^2 h_U sigma_e^2 Lambda
-            np.subtract(1.0, np.multiply(gain_col, lam_sum, out=decay), out=decay)
+            np.subtract(1.0, np.multiply(gain, lam_sum, out=decay), out=decay)
             psi *= decay
-            psi += np.multiply(drive_col, lam_diag, out=forced)
+            psi += np.multiply(drive, lam_diag, out=forced)
 
-    traces = []
-    for b in range(B):
-        if diverged_at[b] is not None:
-            curves[diverged_at[b]:, b] = np.nan
-        phi = Q @ psi[b].reshape(L, L) @ Q.T
-        traces.append(TheoryTrace(
-            msd=curves[:, b, 0, 1].copy(),
-            emse=curves[:, b, 0, 0].copy(),
-            weight_correlation=0.5 * (phi + phi.T),
-            diverged_at=diverged_at[b],
-        ))
+        # [n, b]: row b has diverged at or before iteration n
+        bad = np.logical_or.accumulate(~np.isfinite(curves).all(axis=(2, 3)))
+        curves[bad] = np.nan
+        traces = []
+        for b in range(B):
+            phi = Q @ psi[b].reshape(L, L) @ Q.T
+            traces.append(TheoryTrace(
+                msd=curves[:, b, 0, 1].copy(),
+                emse=curves[:, b, 0, 0].copy(),
+                weight_correlation=0.5 * (phi + phi.T),
+                diverged_at=int(np.argmax(bad[:, b])) if bad[-1, b] else None,
+            ))
     return traces
-
-
-def transient_predictor(
-    scenario: SignalModel,
-    cs: ConstraintSet,
-    params: AlgorithmParams,
-    w0: np.ndarray,
-    N: int,
-) -> TheoryTrace:
-    """Iterate the variance recursion from w(0) = w0 for N steps at params.mu.
-
-    The one-step-size case of `transient_sweep`; raises DivergenceError
-    (with the iteration) where that would record diverged_at.
-    """
-    (trace,) = transient_sweep(scenario, cs, params, [params.mu], w0, N)
-    if trace.diverged_at is not None:
-        raise DivergenceError(
-            f"theory recursion diverged at iteration {trace.diverged_at}",
-            iteration=trace.diverged_at,
-        )
-    return trace
 
 
 def steady_state_emse(

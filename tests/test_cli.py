@@ -142,9 +142,10 @@ def test_all_trials_diverging_exits_2(tmp_path, capsys):
 
 def test_diverging_theory_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "[experiment]\nid = custom\nhorizon = 200\n\n[params]\nmu = 1000\n")
-    code, _, err = invoke(capsys, "predict", "--config", cfg, "--out-dir", tmp_path / "out")
+    code, out, err = invoke(capsys, "predict", "--config", cfg, "--out-dir", tmp_path / "out")
     assert code == cli.EXIT_DIVERGED
-    assert "predict failed: theory recursion diverged" in err
+    assert (out, err) == ("", "predict failed: theory recursion diverged at iteration 47\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_io_errors_exit_3(tmp_path, capsys):
@@ -292,7 +293,7 @@ def test_predict_rows_go_through_the_csv_writer(tmp_path, capsys, monkeypatch):
     loaded = cli.load_config(cfg)
     model, cs = cli.build_scenario(loaded, loaded.sigma_v2)
     params = cli.AlgorithmParams(mu=loaded.mu, alpha=loaded.alpha)
-    trace = cli.transient_predictor(model, cs, params, np.zeros(model.n_taps), loaded.horizon)
+    (trace,) = cli.transient_sweep(model, cs, params, [params.mu], np.zeros(model.n_taps), loaded.horizon)
     w_o = cli.optimal_constrained_wiener(model, cs)
     msd_db = np.asarray(cli.ratio_to_db(trace.msd / float(w_o @ w_o)))
     rows = "".join(

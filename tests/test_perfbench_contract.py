@@ -20,6 +20,7 @@ LAYER_CONFIGS = {
     "L30": "[experiment]\nid = exp3\nfilter_length = 30\nhorizon = 30\nsystem_seed = 101\n",
 }
 EXP2_MU = "[experiment]\nid = exp2-mu\nhorizon = 50\nsystem_seed = 101\n\n[output]\nthreads = 1\n"
+PREDICT_L30 = "[experiment]\nid = custom\nfilter_length = 30\nhorizon = 50\nsystem_seed = 101\n\n[output]\nthreads = 1\n"
 
 
 def load_tracing():
@@ -51,4 +52,19 @@ def test_layer_timings_and_traced_run(tmp_path, capsys):
     assert code == cli.EXIT_OK
     metrics = tracing.span_metrics(tracer, tracer.root_s)
     assert metrics["layer.cli.calls"] > 0
+    assert all(math.isfinite(v) for v in metrics.values())
+
+
+def test_traced_predict(tmp_path, capsys):
+    tracing = load_tracing()
+    workload = tmp_path / "predict-L30.ini"
+    workload.write_text(PREDICT_L30, encoding="utf-8")
+    tracer = tracing.Tracer()
+    argv = ["predict", "--config", str(workload), "--out-dir", str(tmp_path / "out")]
+    with tracing.installed(tracer):
+        code = cli.main(argv)
+    capsys.readouterr()
+    assert code == cli.EXIT_OK
+    metrics = tracing.span_metrics(tracer, tracer.root_s)
+    assert metrics["layer.theory.calls"] > 0
     assert all(math.isfinite(v) for v in metrics.values())

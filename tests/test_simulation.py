@@ -267,6 +267,16 @@ class TestMonteCarlo:
         assert 0 < res.diverged_trials == len(res.diverged_at) < 6
         assert all(0 < n < 1500 for n in res.diverged_at)
 
+    def test_fully_diverged_step_size_keeps_the_sweep(self):
+        # the error names the first such step size and carries every result
+        model, cs = exp1_scenario()
+        with pytest.raises(EnsembleDivergedError, match="at mu = 50 diverged") as exc:
+            run_step_size_sweep(model, "clms", AlgorithmParams(mu=0.05), [0.05, 50.0, 60.0], 3, 2000, 1, cs=cs)
+        first, *rest = exc.value.results
+        assert rest == [None, None]
+        alone = run_monte_carlo(model, "clms", AlgorithmParams(mu=0.05), 3, 2000, 1, cs=cs)
+        assert np.array_equal(first.msd_ratio, alone.msd_ratio) and first.diverged_trials == 0
+
     def test_degenerate_fallback_counted(self):
         # zero initial weights with z = 0 make sign(w) vanish at step 0
         model, cs = exp1_scenario()
@@ -323,6 +333,20 @@ class TestStepSizeMatching:
         target = steady_state_plateau_db(ref)
         mu = match_step_size(
             target, "clmls", model, (0.02, 0.2), cs=cs, params=p,
+            trials=30, horizon=6000, base_seed=31,
+        )
+        assert mu == pytest.approx(0.05, rel=0.05)
+
+    def test_fully_diverged_grid_point_lies_above_the_target(self):
+        # every trial at the top grid point mu = 2 diverges: the match
+        # brackets below it instead of ending
+        model, cs = exp1_scenario()
+        p = AlgorithmParams(mu=0.05)
+        target = steady_state_plateau_db(run_monte_carlo(model, "clmls", p, 30, 6000, 31, cs=cs))
+        with pytest.raises(EnsembleDivergedError, match="all 30 trials"):
+            run_monte_carlo(model, "clmls", AlgorithmParams(mu=2.0), 30, 6000, 31, cs=cs)
+        mu = match_step_size(
+            target, "clmls", model, (0.02, 2.0), cs=cs, params=p,
             trials=30, horizon=6000, base_seed=31,
         )
         assert mu == pytest.approx(0.05, rel=0.05)

@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from confilt.constraints import build_constraint_set, linear_phase_constraints
-from confilt.kernels import AlgorithmParams, DivergenceError
+from confilt.kernels import AlgorithmParams
 from confilt.simulation import (
     SignalModel,
     ar1_signal_model,
@@ -12,10 +12,10 @@ from confilt.simulation import (
 )
 from confilt.theory import (
     GaussianErrorModel,
+    _kernel_moments,
     h_G,
     h_U,
     steady_state_emse,
-    transient_predictor,
     transient_sweep,
 )
 
@@ -91,6 +91,11 @@ class TestMomentFunctionals:
         m = GaussianErrorModel(1.0, 1e8)
         assert h_G(m) == pytest.approx(1.0, abs=1e-3)
         assert h_U(m) == pytest.approx(1.0, rel=1e-3)
+
+    def test_non_finite_argument_does_not_raise(self):
+        # a diverged row of transient_sweep runs on through these arguments
+        assert _kernel_moments(np.inf) == (1.0, 1.0)
+        assert np.all(np.isnan(_kernel_moments(np.nan)))
 
     @pytest.mark.parametrize("alpha", [0.05, 1.0, 20.0])
     @pytest.mark.parametrize("sigma_e2", [0.003, 0.2, 2.0])
@@ -175,13 +180,13 @@ class TestTransientPredictor:
     def test_perfect_start_no_noise_stays_zero(self):
         model, cs = exp1_setup(sigma_v2=0.0)
         w_o = optimal_constrained_wiener(model, cs)
-        trace = transient_predictor(model, cs, AlgorithmParams(mu=0.05), w_o, 50)
+        (trace,) = transient_sweep(model, cs, AlgorithmParams(mu=0.05), [0.05], w_o, 50)
         np.testing.assert_allclose(trace.msd, 0.0, atol=1e-20)
         np.testing.assert_allclose(trace.emse, 0.0, atol=1e-20)
 
     def test_phi_stays_symmetric_psd(self):
         model, cs = exp1_setup()
-        trace = transient_predictor(model, cs, AlgorithmParams(mu=0.05), np.zeros(10), 200)
+        (trace,) = transient_sweep(model, cs, AlgorithmParams(mu=0.05), [0.05], np.zeros(10), 200)
         phi = trace.weight_correlation
         np.testing.assert_allclose(phi, phi.T, atol=1e-14)
         assert np.min(np.linalg.eigvalsh(phi)) >= -1e-10 * np.trace(phi)
@@ -228,7 +233,7 @@ class TestTransientPredictor:
             cs = build_constraint_set(rng.standard_normal((3, 1)), rng.standard_normal(1))
             params = AlgorithmParams(mu=2.0, alpha=0.05)
         L, N = model.n_taps, 300
-        trace = transient_predictor(model, cs, params, np.zeros(L), N)
+        (trace,) = transient_sweep(model, cs, params, [params.mu], np.zeros(L), N)
 
         wt0 = cs.P @ optimal_constrained_wiener(model, cs)
         phi = np.outer(wt0, wt0)
@@ -249,10 +254,13 @@ class TestTransientPredictor:
         a = params.alpha * (trace.emse + model.sigma_v2)
         assert a[0] > a_crossed > a[-1]
 
-    def test_divergent_mu_raises_with_index(self):
+    def test_divergent_mu_records_its_index(self):
         model, cs = exp1_setup()
-        with pytest.raises(DivergenceError):
-            transient_predictor(model, cs, AlgorithmParams(mu=500.0), np.zeros(10), 4000)
+        (trace,) = transient_sweep(model, cs, AlgorithmParams(mu=500.0), [500.0], np.zeros(10), 4000)
+        n = trace.diverged_at
+        assert isinstance(n, int) and 0 < n < 4000
+        assert np.all(np.isfinite(trace.msd[:n])) and np.all(np.isfinite(trace.emse[:n]))
+        assert np.all(np.isnan(trace.msd[n:])) and np.all(np.isnan(trace.emse[n:]))
 
 
 class TestTransientSweep:
@@ -268,7 +276,7 @@ class TestTransientSweep:
         sweep = transient_sweep(model, cs, AlgorithmParams(mu=0.05), self.MUS, np.zeros(10), 300)
         assert len(sweep) == len(self.MUS)
         for mu, trace in zip(self.MUS, sweep):
-            alone = transient_predictor(model, cs, AlgorithmParams(mu=mu), np.zeros(10), 300)
+            (alone,) = transient_sweep(model, cs, AlgorithmParams(mu=mu), [mu], np.zeros(10), 300)
             assert trace.diverged_at is None
             assert np.array_equal(trace.msd, alone.msd)
             assert np.array_equal(trace.emse, alone.emse)
@@ -276,16 +284,15 @@ class TestTransientSweep:
 
     def test_diverged_row_stops_alone(self):
         model, cs = exp1_setup()
-        with pytest.raises(DivergenceError) as raised:
-            transient_predictor(model, cs, AlgorithmParams(mu=500.0), np.zeros(10), 4000)
+        (diverged,) = transient_sweep(model, cs, AlgorithmParams(mu=500.0), [500.0], np.zeros(10), 4000)
         mus = [0.05, 500.0, 0.1]
         sweep = transient_sweep(model, cs, AlgorithmParams(mu=0.05), mus, np.zeros(10), 4000)
-        n = raised.value.iteration
-        assert sweep[1].diverged_at == n
+        n = diverged.diverged_at
+        assert n is not None and sweep[1].diverged_at == n
         assert np.all(np.isfinite(sweep[1].msd[:n])) and np.all(np.isnan(sweep[1].msd[n:]))
         assert np.all(np.isnan(sweep[1].emse[n:]))
         for mu, trace in zip(mus[::2], sweep[::2]):
-            alone = transient_predictor(model, cs, AlgorithmParams(mu=mu), np.zeros(10), 4000)
+            (alone,) = transient_sweep(model, cs, AlgorithmParams(mu=mu), [mu], np.zeros(10), 4000)
             assert trace.diverged_at is None
             assert np.array_equal(trace.msd, alone.msd)
             assert np.array_equal(trace.emse, alone.emse)
@@ -345,7 +352,7 @@ class TestSteadyState:
         w_o = optimal_constrained_wiener(model, cs)
         dev = cs.P @ np.ones(10)
         dev *= np.sqrt(pred.msd) / np.linalg.norm(dev)
-        trace = transient_predictor(model, cs, p, w_o - dev, 60000)
+        (trace,) = transient_sweep(model, cs, p, [p.mu], w_o - dev, 60000)
         assert trace.emse[-1] == pytest.approx(trace.emse[-500], rel=1e-4)  # settled
         assert trace.emse[-1] == pytest.approx(pred.emse, rel=5e-3)
 
@@ -358,6 +365,6 @@ class TestSteadyState:
         w_o = optimal_constrained_wiener(model, cs)
         dev = cs.P @ np.ones(10)
         dev *= np.sqrt(pred.msd) / np.linalg.norm(dev)
-        trace = transient_predictor(model, cs, p, w_o - dev, 30000)
+        (trace,) = transient_sweep(model, cs, p, [p.mu], w_o - dev, 30000)
         gap = abs(trace.emse[-1] - pred.emse) / pred.emse
         assert gap < 0.12
