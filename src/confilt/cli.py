@@ -16,6 +16,16 @@ default, else from the global default; `--seed`, `--trials` and `--out-dir`
 override all three. Keys the table does not list are ignored, and
 `validate` names each of them.
 
+A `run` is a set of independent jobs: one step-size sweep per (noise level,
+algorithm) and one theory recursion per noise level. They run in two
+phases, the second holding the matched algorithms, which need their
+reference's plateaus. Each phase spreads its jobs over the cores this
+process may use: this process computes one share and a forked child each
+other share (`_run_jobs`). Results and errors are taken in the order one
+core would produce them, so the outputs, the messages and the exit code do
+not depend on the number of cores. There is no option for this: one core,
+or one job, forks nothing.
+
 Exit codes: 0 success, 1 config error, 2 runtime divergence, 3 I/O error.
 `run` exits 2 when every trial at a step size diverges or the step-size
 matcher cannot reach its target; `predict` exits 2, writing nothing, when its
@@ -28,11 +38,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
+import pickle
 import sys
 from dataclasses import dataclass, field, make_dataclass, replace
-from itertools import groupby
+from functools import partial
+from itertools import groupby, takewhile
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -377,6 +390,82 @@ def _theory(model: SignalModel, cs: ConstraintSet, base: AlgorithmParams, mus, h
     return [(trace, pred, float(w_o @ w_o)) for trace, pred in zip(traces, preds)]
 
 
+def _core_count() -> int:
+    """The cores this process may run on; 1 where the platform cannot say or fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _attempt(job: Callable[[], Any]) -> tuple[bool, Any]:
+    """(True, result) or (False, the exception the job raised)."""
+    try:
+        return True, job()
+    except Exception as exc:  # handed to the caller, which raises it in job order
+        return False, exc
+
+
+def _child(write: int, jobs: Sequence[Callable[[], Any]]) -> NoReturn:
+    """In a forked child: send the jobs' outcomes through `write` and exit,
+    never returning into the parent's stack."""
+    status = 1
+    try:
+        outcomes = [_attempt(job) for job in jobs]
+        with open(write, "wb") as fh:
+            pickle.dump(outcomes, fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    except BaseException as exc:  # reported here; the parent sees no results
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+    finally:
+        os._exit(status)
+
+
+def _run_jobs(jobs: Sequence[Callable[[], Any]]) -> list[tuple[bool, Any]]:
+    """The `_attempt` outcome of each of several independent jobs, in job order.
+
+    The jobs are dealt round-robin into one share per core, at most one per
+    job. This process computes the first share. Each other share runs in a
+    child made with os.fork, which inherits the jobs as they are, pickles its
+    outcomes back through a pipe and leaves with os._exit. So one job, or one
+    core, forks nothing. Every child is reaped before this returns or raises;
+    if this process's own share is interrupted, the children are killed first.
+    """
+    n = max(1, min(len(jobs), _core_count()))
+    outcomes: list[Any] = [None] * len(jobs)
+    children = {}  # pid -> (read end of its pipe, indices of its jobs)
+    try:
+        for k in range(1, n):
+            # a child must not write out what this process has buffered
+            sys.stdout.flush()
+            sys.stderr.flush()
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child(write, jobs[k::n])
+            os.close(write)
+            children[pid] = (open(read, "rb"), range(k, len(jobs), n))
+        for j in range(0, len(jobs), n):
+            outcomes[j] = _attempt(jobs[j])
+        for pid, (fh, share) in list(children.items()):
+            with fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if not data:
+                raise RuntimeError(f"worker process {pid} ended without its results (wait status {status})")
+            for j, outcome in zip(share, pickle.loads(data)):
+                outcomes[j] = outcome
+    finally:
+        if children:  # this process's share or a read failed
+            from signal import SIGKILL  # here, so that start-up does not pay for it
+        for pid, (fh, _) in children.items():
+            fh.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    return outcomes
+
+
 # reference partner for plateau matching: matched algorithm -> reference
 _MATCH_PAIRS = {"lms": "lmls", "clms": "clmls"}
 
@@ -389,31 +478,61 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
     # references first: a matched algorithm needs its partner's plateaus
     run_order = sorted(cfg.algorithms, key=lambda a: (a in matched, a))
     want_theory = cfg.experiment in ("exp2-snr", "exp2-mu") and "clmls" in cfg.algorithms
-    mus, results = {}, {}  # by (point, algorithm)
+    runs = {}  # by (point, algorithm): (mu, result)
     theory = {}  # by point: (transient trace, closed form, ||w_o||^2)
+
+    def sweep(group, model, cs, name):
+        mus = [points[i][2] for i in group]
+        if name in matched:
+            mus = [
+                match_step_size(
+                    steady_state_plateau_db(runs[i, _MATCH_PAIRS[name]][1]), name, model,
+                    cfg.match_bounds, cs=cs, params=base, trials=cfg.match_trials,
+                    horizon=cfg.horizon, base_seed=cfg.base_seed,
+                )
+                for i in group
+            ]
+        results = run_step_size_sweep(model, name, base, mus, cfg.trials, cfg.horizon, cfg.base_seed, cs=cs)
+        return {(i, name): run for i, run in zip(group, zip(mus, results))}
+
+    def recursion(group, model, cs):
+        # clmls, the one algorithm with a theory, is never matched
+        return dict(zip(group, _theory(model, cs, base, [points[i][2] for i in group], cfg.horizon)))
 
     # the points of one noise level share model, constraint and trial seeds,
     # so each algorithm runs them as one step-size sweep, and the theory as
-    # one recursion over clmls's step sizes
-    for sigma_v2 in dict.fromkeys(p[1] for p in points):
+    # one recursion over clmls's step sizes: one job each, keyed (noise
+    # level, algorithm or None for the theory) in the order one core takes them
+    jobs = {}
+    for level, sigma_v2 in enumerate(dict.fromkeys(p[1] for p in points)):
         group = [i for i, p in enumerate(points) if p[1] == sigma_v2]
         model, cs = build_scenario(cfg, sigma_v2)
         for name in run_order:
-            for i in group:
-                mus[i, name] = points[i][2]
-                if name in matched:
-                    target = steady_state_plateau_db(results[i, _MATCH_PAIRS[name]])
-                    mus[i, name] = match_step_size(
-                        target, name, model, cfg.match_bounds, cs=cs, params=base,
-                        trials=cfg.match_trials, horizon=cfg.horizon, base_seed=cfg.base_seed,
-                    )
-            sweep = run_step_size_sweep(
-                model, name, base, [mus[i, name] for i in group], cfg.trials, cfg.horizon,
-                cfg.base_seed, cs=cs,
-            )
-            results.update(((i, name), res) for i, res in zip(group, sweep))
+            jobs[level, name] = partial(sweep, group, model, cs, name)
         if want_theory:
-            theory.update(zip(group, _theory(model, cs, base, [mus[i, "clmls"] for i in group], cfg.horizon)))
+            jobs[level, None] = partial(recursion, group, model, cs)
+
+    outcomes = {}
+
+    def settle(keys):
+        outcomes.update(zip(keys, _run_jobs([jobs[key] for key in keys])))
+        for key in keys:
+            done, value = outcomes[key]
+            if done:
+                (theory if key[1] is None else runs).update(value)
+
+    def first_failure():
+        return next((key for key in jobs if key in outcomes and not outcomes[key][0]), None)
+
+    # phase 1: every job but the matched ones, sweeps first, so that this
+    # process's share is Monte-Carlo; phase 2: the matched ones, which read
+    # their reference's plateaus. One core would stop at the first failure,
+    # so phase 2 runs only the jobs before it, and that failure ends the run.
+    settle(sorted((key for key in jobs if key[1] not in matched), key=lambda key: key[1] is None))
+    stop = first_failure()
+    settle([key for key in takewhile(lambda key: key != stop, jobs) if key[1] in matched])
+    if (stop := first_failure()) is not None:
+        raise outcomes[stop][1]
 
     summary: list[str] = [f"# confilt run summary: {cfg.experiment}", ""]
     theory_lines: list[str] = []
@@ -421,7 +540,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
     theory_files: set[str] = set()
     for i, (label, _, _) in enumerate(points):
         for name in cfg.algorithms:
-            res, mu, tag = results[i, name], mus[i, name], _tag(name, label)
+            (mu, res), tag = runs[i, name], _tag(name, label)
             fname = f"{cfg.experiment}_{tag}.csv"
             header = ["iteration", "msd_db", "emse"]
             cols = [np.arange(cfg.horizon), res.msd_db, res.emse]

@@ -63,6 +63,9 @@ class EnsembleDivergedError(RuntimeError):
         super().__init__(message)
         self.results = results
 
+    def __reduce__(self):
+        return type(self), (str(self), self.results)
+
 
 @dataclass(frozen=True)
 class SystemSchedule:
@@ -596,8 +599,8 @@ def run_monte_carlo(
     """Ensemble-average an algorithm over independent trials at params.mu.
 
     The one-step-size case of `run_step_size_sweep`. n_workers is accepted
-    and ignored: the row engine runs in one process, and the argument stays
-    because perfbench/tracing.py still passes n_workers=2.
+    and ignored; it stays because perfbench/tracing.py still passes
+    n_workers=2.
     """
     return run_step_size_sweep(model, algorithm, params, [params.mu], trials, horizon, base_seed, cs=cs)[0]
 
@@ -646,6 +649,9 @@ class StepSizeMatchError(RuntimeError):
         super().__init__(message)
         self.bracket = bracket
         self.plateaus = plateaus
+
+    def __reduce__(self):
+        return type(self), (str(self), self.bracket, self.plateaus)
 
 
 def match_step_size(

@@ -1,7 +1,10 @@
 """The command-line runner: exit codes, config errors, the template and the
-config echo. Every run is short (horizon <= 300, at most 2 trials)."""
+config echo. Every run is short (horizon <= 300, at most 2 trials; exp1 with
+matching runs at horizon 1500)."""
 
 import configparser
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +218,8 @@ def test_percent_sign_is_plain_text(tmp_path):
 
 
 def test_each_scenario_is_built_once_and_swept(tmp_path, capsys, monkeypatch):
+    # one core: the lists below record the calls of this process only
+    monkeypatch.setattr(cli, "_core_count", lambda: 1)
     builds, sweeps, theories = [], [], []
     build, sweep, theory = cli.build_scenario, cli.run_step_size_sweep, cli.transient_sweep
     monkeypatch.setattr(cli, "build_scenario", lambda *a: builds.append(a[1]) or build(*a))
@@ -335,3 +340,114 @@ def test_close_step_sizes_get_their_own_files(tmp_path, capsys):
     out = tmp_path / "out"
     assert invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", out)[0] == cli.EXIT_OK
     assert sorted(p.name for p in out.glob("*.csv")) == ["exp2-mu_clmls_mu0.1.csv", "exp2-mu_clmls_mu0.1000001.csv"]
+
+
+# each on one core and on several: exp1 with a matched pair, complete and
+# "not bracketed"; every experiment short; a step size at which every trial
+# diverges, and one at which only the recursion does
+SPREAD_CASES = {
+    "exp1": "id = exp1\nhorizon = 1500\n\n[matching]\ntrials = 2\nbounds = 1e-3, 0.15\n",
+    "exp1-not-bracketed": "id = exp1\nhorizon = 1500\n\n[matching]\ntrials = 2\nbounds = 1e-2, 0.9\n",
+    "exp2-mu": "id = exp2-mu\nhorizon = 300\n",
+    "exp2-snr": "id = exp2-snr\nhorizon = 300\n",
+    "exp3": "id = exp3\nhorizon = 300\n",
+    "custom": "id = custom\nalgorithms = lms, clmls, l1-wclms\nhorizon = 300\n\n[scenario]\ninput = ar1\n",
+    "exp2-mu-diverged": "id = exp2-mu\nhorizon = 300\n\n[scenario]\nmu_list = 0.05, 1000\n",
+    "exp2-mu-theory-diverged": "id = exp2-mu\nhorizon = 200\n\n[scenario]\nmu_list = 0.05, 3\n",
+}
+
+
+@pytest.mark.parametrize("case", SPREAD_CASES)
+def test_outputs_do_not_depend_on_the_core_count(tmp_path, capsys, monkeypatch, case):
+    cfg = write(tmp_path, f"[experiment]\nsystem_seed = 101\n{SPREAD_CASES[case]}")
+    runs = {}
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(cli, "_core_count", lambda: cores)
+        work = tmp_path / f"cores{cores}"
+        work.mkdir()
+        monkeypatch.chdir(work)  # the same relative --out-dir, so the same [output] dir
+        code, out, err = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--seed", 101, "--out-dir", "out")
+        files = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+        runs[cores] = (code, out, err, files)
+    assert runs[2] == runs[1] and runs[4] == runs[1]
+    code, _, err, files = runs[1]
+    if case in ("exp1-not-bracketed", "exp2-mu-diverged"):
+        assert code == cli.EXIT_DIVERGED and err.startswith("run failed: ") and not files
+    else:
+        assert code == cli.EXIT_OK and "summary.txt" in files
+
+
+def test_the_first_failure_in_one_core_order_ends_the_run(tmp_path, capsys, monkeypatch):
+    # exp2-snr with a matched pair: the matcher fails at the first noise
+    # level and the reference sweep diverges at the second. One core meets
+    # the matcher's failure first, so every core count must report it
+    cfg = write(tmp_path, f"[experiment]\nid = exp2-snr\nalgorithms = lms, lmls\n{SHORT}\n[matching]\nenabled = true\n")
+    levels = [sigma_v2 for _, sigma_v2, _ in cli._points(cli.load_config(cfg))]
+    sweep = cli.run_step_size_sweep
+
+    def diverging_sweep(model, name, *args, **kwargs):
+        if name == "lmls" and model.sigma_v2 == levels[1]:
+            raise cli.EnsembleDivergedError("the reference diverged", [None])
+        return sweep(model, name, *args, **kwargs)
+
+    def failing_match(target, name, model, *args, **kwargs):
+        raise cli.StepSizeMatchError(f"no match at sigma_v2 = {model.sigma_v2}", (0.1, 0.2), (0.0, 0.0))
+
+    monkeypatch.setattr(cli, "run_step_size_sweep", diverging_sweep)
+    monkeypatch.setattr(cli, "match_step_size", failing_match)
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(cli, "_core_count", lambda: cores)
+        code, out, err = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", tmp_path / "out")
+        assert (code, out, err) == (cli.EXIT_DIVERGED, "", f"run failed: no match at sigma_v2 = {levels[0]}\n")
+
+
+def test_jobs_come_back_in_order_from_their_processes(monkeypatch):
+    monkeypatch.setattr(cli, "_core_count", lambda: 3)
+    outcomes = cli._run_jobs([lambda k=k: (k, os.getpid()) for k in range(5)])
+    assert [done for done, _ in outcomes] == [True] * 5
+    assert [k for _, (k, _) in outcomes] == list(range(5))
+    pids = [pid for _, (_, pid) in outcomes]
+    # dealt round-robin, and this process computes the first share
+    assert pids[0] == pids[3] == os.getpid() and pids[1] == pids[4] and len(set(pids)) == 3
+
+
+def test_a_failed_job_comes_back_as_its_exception(monkeypatch):
+    monkeypatch.setattr(cli, "_core_count", lambda: 2)
+
+    def unmatched():
+        raise cli.StepSizeMatchError("not bracketed", (0.01, 0.05), (-30.0, -25.5))
+
+    def slow():
+        time.sleep(0.3)
+        return "done"
+
+    # this process's job fails while the child's is still running
+    here, there = cli._run_jobs([lambda: 1 / 0, slow])
+    assert here[0] is False and isinstance(here[1], ZeroDivisionError) and there == (True, "done")
+    _, (done, exc) = cli._run_jobs([lambda: None, unmatched])
+    assert done is False and type(exc) is cli.StepSizeMatchError
+    assert (str(exc), exc.bracket, exc.plateaus) == ("not bracketed", (0.01, 0.05), (-30.0, -25.5))
+
+
+def test_a_child_that_sends_nothing_is_an_error(monkeypatch):
+    monkeypatch.setattr(cli, "_core_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="ended without its results"):
+        cli._run_jobs([lambda: None, lambda: os._exit(3)])
+
+
+class _Interrupt(BaseException):
+    """Stands for an interrupt that this process's own share does not catch."""
+
+
+def test_children_are_killed_and_reaped_when_this_process_is_interrupted(monkeypatch):
+    monkeypatch.setattr(cli, "_core_count", lambda: 2)
+
+    def interrupted():
+        raise _Interrupt
+
+    start = time.perf_counter()
+    with pytest.raises(_Interrupt):
+        cli._run_jobs([interrupted, lambda: time.sleep(60)])
+    assert time.perf_counter() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

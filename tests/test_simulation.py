@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -379,3 +380,16 @@ class TestStepSizeMatching:
         assert iterations_to_within_db(dip, 3.0, -30.0) == 4
         assert iterations_to_within_db(np.array([-30.0, np.nan, -30.0]), 3.0, -30.0) == 2
         assert iterations_to_within_db(np.array([-30.0, -30.0, np.nan]), 3.0, -30.0) is None
+
+
+def test_errors_survive_a_pickle_round_trip():
+    model, cs = exp1_scenario()
+    res = run_monte_carlo(model, "clms", AlgorithmParams(mu=0.05), 2, 50, 1, cs=cs)
+    diverged = pickle.loads(pickle.dumps(EnsembleDivergedError("all 2 trials diverged", [res, None])))
+    assert type(diverged) is EnsembleDivergedError and str(diverged) == "all 2 trials diverged"
+    first, second = diverged.results
+    assert second is None and first.diverged_at == res.diverged_at
+    assert np.array_equal(first.msd_ratio, res.msd_ratio) and np.array_equal(first.emse, res.emse)
+    unmatched = pickle.loads(pickle.dumps(StepSizeMatchError("not bracketed", (0.01, 0.05), (-30.0, -25.5))))
+    assert type(unmatched) is StepSizeMatchError and str(unmatched) == "not bracketed"
+    assert unmatched.bracket == (0.01, 0.05) and unmatched.plateaus == (-30.0, -25.5)
