@@ -16,15 +16,17 @@ default, else from the global default; `--seed`, `--trials` and `--out-dir`
 override all three. Keys the table does not list are ignored, and
 `validate` names each of them.
 
-A `run` is a set of independent jobs: one step-size sweep per (noise level,
-algorithm) and one theory recursion per noise level. They run in two
-phases, the second holding the matched algorithms, which need their
-reference's plateaus. Each phase spreads its jobs over the cores this
-process may use: this process computes one share and a forked child each
-other share (`_run_jobs`). Results and errors are taken in the order one
-core would produce them, so the outputs, the messages and the exit code do
-not depend on the number of cores. There is no option for this: one core,
-or one job, forks nothing.
+A `run` is one round of independent jobs. Each noise level has one
+step-size sweep per algorithm that is not matched, which then also runs the
+algorithm matched to it, if any (lms to lmls, clms to clmls), at the step
+sizes that match its plateaus; and one theory recursion. `_run_jobs` spreads
+the jobs over the cores this process may use: this process computes one
+share and a forked child each other share. Results come back in job order,
+and the first failure in job order ends the run, so the outputs, the
+messages and the exit code are those of one core, which takes the sweeps
+level by level, each matched algorithm right after its reference, and then
+the recursions. There is no option for this: one core, or one job, forks
+nothing.
 
 Exit codes: 0 success, 1 config error, 2 runtime divergence, 3 I/O error.
 `run` exits 2 when every trial at a step size diverges or the step-size
@@ -43,7 +45,7 @@ import pickle
 import sys
 from dataclasses import dataclass, field, make_dataclass, replace
 from functools import partial
-from itertools import groupby, takewhile
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Sequence
 
@@ -420,15 +422,17 @@ def _child(write: int, jobs: Sequence[Callable[[], Any]]) -> NoReturn:
         os._exit(status)
 
 
-def _run_jobs(jobs: Sequence[Callable[[], Any]]) -> list[tuple[bool, Any]]:
-    """The `_attempt` outcome of each of several independent jobs, in job order.
+def _run_jobs(jobs: Sequence[Callable[[], Any]]) -> list[Any]:
+    """The results of several independent jobs, in job order; or the first
+    failure in job order, raised once every job has run.
 
     The jobs are dealt round-robin into one share per core, at most one per
     job. This process computes the first share. Each other share runs in a
     child made with os.fork, which inherits the jobs as they are, pickles its
-    outcomes back through a pipe and leaves with os._exit. So one job, or one
-    core, forks nothing. Every child is reaped before this returns or raises;
-    if this process's own share is interrupted, the children are killed first.
+    `_attempt` outcomes back through a pipe and leaves with os._exit. So one
+    job, or one core, forks nothing. Every child is reaped before this returns
+    or raises; if this process's own share is interrupted, the children are
+    killed first.
     """
     n = max(1, min(len(jobs), _core_count()))
     outcomes: list[Any] = [None] * len(jobs)
@@ -463,7 +467,10 @@ def _run_jobs(jobs: Sequence[Callable[[], Any]]) -> list[tuple[bool, Any]]:
             fh.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    return outcomes
+    for done, value in outcomes:
+        if not done:
+            raise value
+    return [value for _, value in outcomes]
 
 
 # reference partner for plateau matching: matched algorithm -> reference
@@ -475,64 +482,45 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
     points = _points(cfg)
     base = AlgorithmParams(mu=cfg.mu, alpha=cfg.alpha, t=cfg.l1_budget, beta_slope=cfg.beta_slope)
     matched = {a for a in cfg.algorithms if cfg.matching and _MATCH_PAIRS.get(a) in cfg.algorithms}
-    # references first: a matched algorithm needs its partner's plateaus
-    run_order = sorted(cfg.algorithms, key=lambda a: (a in matched, a))
+    partner = {_MATCH_PAIRS[a]: a for a in matched}  # reference -> the algorithm matched to it
     want_theory = cfg.experiment in ("exp2-snr", "exp2-mu") and "clmls" in cfg.algorithms
-    runs = {}  # by (point, algorithm): (mu, result)
-    theory = {}  # by point: (transient trace, closed form, ||w_o||^2)
 
-    def sweep(group, model, cs, name):
-        mus = [points[i][2] for i in group]
-        if name in matched:
-            mus = [
-                match_step_size(
-                    steady_state_plateau_db(runs[i, _MATCH_PAIRS[name]][1]), name, model,
-                    cfg.match_bounds, cs=cs, params=base, trials=cfg.match_trials,
-                    horizon=cfg.horizon, base_seed=cfg.base_seed,
-                )
-                for i in group
-            ]
+    def sweep(group, model, cs, name, mus):
+        """By (point, algorithm): (mu, result) of name's sweep at `mus`, then of
+        its partner's at the step sizes that match name's plateaus."""
         results = run_step_size_sweep(model, name, base, mus, cfg.trials, cfg.horizon, cfg.base_seed, cs=cs)
-        return {(i, name): run for i, run in zip(group, zip(mus, results))}
+        runs = {(i, name): run for i, run in zip(group, zip(mus, results))}
+        if name in partner:
+            matched_mus = [
+                match_step_size(
+                    steady_state_plateau_db(res), partner[name], model, cfg.match_bounds, cs=cs,
+                    params=base, trials=cfg.match_trials, horizon=cfg.horizon, base_seed=cfg.base_seed,
+                )
+                for res in results
+            ]
+            runs.update(sweep(group, model, cs, partner[name], matched_mus))
+        return runs
 
-    def recursion(group, model, cs):
+    def recursion(group, model, cs, mus):
         # clmls, the one algorithm with a theory, is never matched
-        return dict(zip(group, _theory(model, cs, base, [points[i][2] for i in group], cfg.horizon)))
+        return {(i, None): trace for i, trace in zip(group, _theory(model, cs, base, mus, cfg.horizon))}
 
     # the points of one noise level share model, constraint and trial seeds,
-    # so each algorithm runs them as one step-size sweep, and the theory as
-    # one recursion over clmls's step sizes: one job each, keyed (noise
-    # level, algorithm or None for the theory) in the order one core takes them
-    jobs = {}
-    for level, sigma_v2 in enumerate(dict.fromkeys(p[1] for p in points)):
+    # so each unmatched algorithm runs them as one step-size sweep, and the
+    # theory as one recursion over clmls's step sizes. The sweeps come first,
+    # so that this process's share is Monte-Carlo
+    sweeps, recursions = [], []
+    for sigma_v2 in dict.fromkeys(p[1] for p in points):
         group = [i for i, p in enumerate(points) if p[1] == sigma_v2]
+        mus = [points[i][2] for i in group]
         model, cs = build_scenario(cfg, sigma_v2)
-        for name in run_order:
-            jobs[level, name] = partial(sweep, group, model, cs, name)
+        sweeps += [partial(sweep, group, model, cs, name, mus) for name in sorted(set(cfg.algorithms) - matched)]
         if want_theory:
-            jobs[level, None] = partial(recursion, group, model, cs)
-
-    outcomes = {}
-
-    def settle(keys):
-        outcomes.update(zip(keys, _run_jobs([jobs[key] for key in keys])))
-        for key in keys:
-            done, value = outcomes[key]
-            if done:
-                (theory if key[1] is None else runs).update(value)
-
-    def first_failure():
-        return next((key for key in jobs if key in outcomes and not outcomes[key][0]), None)
-
-    # phase 1: every job but the matched ones, sweeps first, so that this
-    # process's share is Monte-Carlo; phase 2: the matched ones, which read
-    # their reference's plateaus. One core would stop at the first failure,
-    # so phase 2 runs only the jobs before it, and that failure ends the run.
-    settle(sorted((key for key in jobs if key[1] not in matched), key=lambda key: key[1] is None))
-    stop = first_failure()
-    settle([key for key in takewhile(lambda key: key != stop, jobs) if key[1] in matched])
-    if (stop := first_failure()) is not None:
-        raise outcomes[stop][1]
+            recursions.append(partial(recursion, group, model, cs, mus))
+    # by (point, algorithm): (mu, result); by (point, None): the theory
+    table = {}
+    for part in _run_jobs(sweeps + recursions):
+        table.update(part)
 
     summary: list[str] = [f"# confilt run summary: {cfg.experiment}", ""]
     theory_lines: list[str] = []
@@ -540,12 +528,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
     theory_files: set[str] = set()
     for i, (label, _, _) in enumerate(points):
         for name in cfg.algorithms:
-            (mu, res), tag = runs[i, name], _tag(name, label)
+            (mu, res), tag = table[i, name], _tag(name, label)
             fname = f"{cfg.experiment}_{tag}.csv"
             header = ["iteration", "msd_db", "emse"]
             cols = [np.arange(cfg.horizon), res.msd_db, res.emse]
-            if name == "clmls" and i in theory:
-                trace, pred, w_o2 = theory[i]
+            if name == "clmls" and (i, None) in table:
+                trace, pred, w_o2 = table[i, None]
                 line = (
                     f"{tag}: emse_closed_form={_fmt(pred.emse)} "
                     f"msd_closed_form={_fmt(pred.msd)} beta={_fmt(pred.beta_factor)} "

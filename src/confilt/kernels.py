@@ -1,6 +1,11 @@
 """Per-sample update steps for the constrained logarithmic-cost filter family.
 
-All steps are pure: they take a :class:`FilterState` and return a new one.
+These steps are the reference: the row engine in `simulation` performs
+their floating-point operations in the same order and reproduces them bit
+for bit, but calls none of them. The tests and perfbench call them. All
+steps are pure: they take a :class:`FilterState` and return a new one; the
+sparse steps return ``(FilterState, SparseStepAux)``.
+
 The logarithmic-cost error kernel
 
     g(e) = alpha * e^3 / (1 + alpha * e^2)

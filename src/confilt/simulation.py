@@ -202,9 +202,13 @@ def generate_signals(
         rho = model.rho
         start = rng.standard_normal()  # stationary initial state
         c = math.sqrt(1.0 - rho * rho)
-        from scipy.signal import lfilter  # slow to import; only AR(1) input needs it
-
-        x, _ = lfilter([c], [1.0, -rho], x, zi=np.array([rho * start]))
+        # y[n] = c x[n] + rho y[n-1] from y[-1] = start: the operations of
+        # scipy.signal.lfilter in its order, so the same bits without scipy
+        y, p = [], rho * start
+        for cx in (c * x).tolist():
+            y.append(cx + p)
+            p = rho * y[-1]
+        x = np.array(y)
     padded = np.concatenate([np.zeros(L - 1), x])
     U = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, L)[:, ::-1])
     v = math.sqrt(model.sigma_v2) * rng.standard_normal(length) if model.sigma_v2 > 0 else np.zeros(length)
@@ -672,10 +676,13 @@ def match_step_size(
     step size the filter has not converged inside the window, above it the
     plateau is misadjustment-limited and increases with mu. A coarse
     geometric scan locates the rising branch, then bisection refines on it.
-    The scan runs as one step-size sweep; the bisection probes run one mu
-    each. All probes reuse the same trial seeds (common random numbers), so
-    the plateau is a smooth function of mu; where every trial diverges it is
-    +inf dB, above any target, so the search brackets below. Returns mu whose
+    Where the scan's best point lies above the target, the valley may lie
+    between grid points, so one more scan between that point's neighbours
+    is merged in before the target counts as out of reach. Each scan runs as
+    one step-size sweep; the bisection probes run one mu each. All probes
+    reuse the same trial seeds (common random numbers), so the plateau is a
+    smooth function of mu; where every trial diverges it is +inf dB, above
+    any target, so the search brackets below. Returns mu whose
     plateau is within _MATCH_TOL_DB of the target once the bracket's relative
     width is at most _MATCH_REL_WIDTH, else the best of _MATCH_MAX_EVALS
     bisection probes.
@@ -693,13 +700,25 @@ def match_step_size(
     if not (0 < lo < hi):
         raise ValueError(f"invalid search bounds {search_bounds}")
 
+    def scan(mus) -> list[float]:
+        try:
+            sweep = run_step_size_sweep(model, algorithm, params, mus, trials, horizon, base_seed, cs=cs)
+        except EnsembleDivergedError as exc:
+            sweep = exc.results
+        return [math.inf if res is None else steady_state_plateau_db(res) for res in sweep]
+
     grid = np.geomspace(lo, hi, _MATCH_GRID)
-    try:
-        sweep = run_step_size_sweep(model, algorithm, params, grid, trials, horizon, base_seed, cs=cs)
-    except EnsembleDivergedError as exc:
-        sweep = exc.results
-    levels = [math.inf if res is None else steady_state_plateau_db(res) for res in sweep]
+    levels = scan(grid)
     k_min = int(np.argmin(levels))
+    if reference_msd_db < levels[k_min] - _MATCH_TOL_DB:
+        # the valley may lie between grid points: scan _MATCH_GRID more
+        # strictly between the minimum's neighbours, and merge
+        ends = grid[max(k_min - 1, 0)], grid[min(k_min + 1, len(grid) - 1)]
+        zoom = np.geomspace(*ends, _MATCH_GRID + 2)[1:-1]
+        mus, plateaus = np.concatenate([grid, zoom]), levels + scan(zoom)
+        order = np.argsort(mus)
+        grid, levels = mus[order], [plateaus[k] for k in order]
+        k_min = int(np.argmin(levels))
     if reference_msd_db < levels[k_min] - _MATCH_TOL_DB:
         raise StepSizeMatchError(
             f"target {reference_msd_db:.2f} dB not bracketed: best achievable "

@@ -401,12 +401,49 @@ def test_the_first_failure_in_one_core_order_ends_the_run(tmp_path, capsys, monk
         assert (code, out, err) == (cli.EXIT_DIVERGED, "", f"run failed: no match at sigma_v2 = {levels[0]}\n")
 
 
+def test_a_matched_algorithm_runs_in_its_reference_job(tmp_path, capsys, monkeypatch):
+    # exp1: one round of two jobs, clmls then clms, and lmls then lms
+    rounds, sweeps = [], []
+    run_jobs, sweep = cli._run_jobs, cli.run_step_size_sweep
+    monkeypatch.setattr(cli, "_core_count", lambda: 1)
+    monkeypatch.setattr(cli, "_run_jobs", lambda jobs: rounds.append(len(jobs)) or run_jobs(jobs))
+    monkeypatch.setattr(cli, "run_step_size_sweep", lambda *a, **k: sweeps.append(a[1]) or sweep(*a, **k))
+    stub_matcher(monkeypatch)
+    cfg = write(tmp_path, f"[experiment]\nid = exp1\n{SHORT}")
+    code, _, _ = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", tmp_path / "out")
+    assert code == cli.EXIT_OK
+    assert rounds == [2] and sweeps == ["clmls", "clms", "lmls", "lms"]
+
+
+def test_a_matcher_failure_before_a_later_divergence_is_reported(tmp_path, capsys, monkeypatch):
+    # exp1: clms's matcher fails and lmls's sweep diverges. One core takes
+    # clmls, clms, lmls, lms, so it meets the matcher's failure first
+    cfg = write(tmp_path, f"[experiment]\nid = exp1\n{SHORT}")
+    sweep = cli.run_step_size_sweep
+
+    def diverging_sweep(model, name, *args, **kwargs):
+        if name == "lmls":
+            raise cli.EnsembleDivergedError("lmls diverged", [None])
+        return sweep(model, name, *args, **kwargs)
+
+    def failing_match(target, name, *args, **kwargs):
+        if name == "clms":
+            raise cli.StepSizeMatchError("no match for clms", (0.1, 0.2), (0.0, 0.0))
+        return 0.037
+
+    monkeypatch.setattr(cli, "run_step_size_sweep", diverging_sweep)
+    monkeypatch.setattr(cli, "match_step_size", failing_match)
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(cli, "_core_count", lambda: cores)
+        code, out, err = invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", tmp_path / "out")
+        assert (code, out, err) == (cli.EXIT_DIVERGED, "", "run failed: no match for clms\n")
+
+
 def test_jobs_come_back_in_order_from_their_processes(monkeypatch):
     monkeypatch.setattr(cli, "_core_count", lambda: 3)
-    outcomes = cli._run_jobs([lambda k=k: (k, os.getpid()) for k in range(5)])
-    assert [done for done, _ in outcomes] == [True] * 5
-    assert [k for _, (k, _) in outcomes] == list(range(5))
-    pids = [pid for _, (_, pid) in outcomes]
+    results = cli._run_jobs([lambda k=k: (k, os.getpid()) for k in range(5)])
+    assert [k for k, _ in results] == list(range(5))
+    pids = [pid for _, pid in results]
     # dealt round-robin, and this process computes the first share
     assert pids[0] == pids[3] == os.getpid() and pids[1] == pids[4] and len(set(pids)) == 3
 
@@ -421,12 +458,19 @@ def test_a_failed_job_comes_back_as_its_exception(monkeypatch):
         time.sleep(0.3)
         return "done"
 
-    # this process's job fails while the child's is still running
-    here, there = cli._run_jobs([lambda: 1 / 0, slow])
-    assert here[0] is False and isinstance(here[1], ZeroDivisionError) and there == (True, "done")
-    _, (done, exc) = cli._run_jobs([lambda: None, unmatched])
-    assert done is False and type(exc) is cli.StepSizeMatchError
+    # this process's job fails while the child's is still running: raised
+    # once the child is reaped (the autouse fixture checks that)
+    with pytest.raises(ZeroDivisionError):
+        cli._run_jobs([lambda: 1 / 0, slow])
+    # the child's job fails: its exception survives the pickle round trip
+    with pytest.raises(cli.StepSizeMatchError) as caught:
+        cli._run_jobs([lambda: None, unmatched])
+    exc = caught.value
+    assert type(exc) is cli.StepSizeMatchError
     assert (str(exc), exc.bracket, exc.plateaus) == ("not bracketed", (0.01, 0.05), (-30.0, -25.5))
+    # two fail: the child's, first in job order, not this process's, first to finish
+    with pytest.raises(cli.StepSizeMatchError):
+        cli._run_jobs([lambda: None, lambda: slow() and unmatched(), lambda: 1 / 0])
 
 
 def test_a_child_that_sends_nothing_is_an_error(monkeypatch):

@@ -266,3 +266,15 @@ def test_import_path_has_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_ar1_signals_need_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+        "from confilt.simulation import ar1_signal_model, generate_signals; "
+        "generate_signals(ar1_signal_model(0.5, 0.01, np.ones(4)), 100, np.random.default_rng(0)); "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

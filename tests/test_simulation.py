@@ -133,6 +133,18 @@ class TestSignals:
         assert lag1 == pytest.approx(rho, abs=0.01)
         assert np.var(x) == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("rho", [0.5, -0.9, 0.99, 0.123])
+    def test_ar1_stream_equals_lfilter(self, rho):
+        from scipy.signal import lfilter
+
+        model = ar1_signal_model(rho, 0.0, np.zeros(3))
+        for seed in range(5):
+            U, _ = generate_signals(model, 2000, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            x, start = rng.standard_normal(2000), rng.standard_normal()
+            want, _ = lfilter([np.sqrt(1 - rho * rho)], [1.0, -rho], x, zi=[rho * start])
+            assert np.array_equal(U[:, 0], want)
+
     def test_desired_signal_uses_schedule(self):
         systems = (np.array([1.0, 0.0]), np.array([0.0, 2.0]))
         sched = SystemSchedule(systems=systems, boundaries=(0, 5))
@@ -351,6 +363,22 @@ class TestStepSizeMatching:
             trials=30, horizon=6000, base_seed=31,
         )
         assert mu == pytest.approx(0.05, rel=0.05)
+
+    def test_a_valley_between_grid_points_is_found(self):
+        # the best of the six grid points over [1e-4, 0.5] lies more than the
+        # 0.25 dB tolerance above the target; the one zoom scan between its
+        # neighbours reaches it
+        model, cs = exp1_scenario()
+        p = AlgorithmParams(mu=0.05)
+        target = steady_state_plateau_db(run_monte_carlo(model, "clmls", p, 4, 1500, 1, cs=cs))
+        grid = run_step_size_sweep(model, "clms", p, np.geomspace(1e-4, 0.5, 6), 4, 1500, 1, cs=cs)
+        assert min(map(steady_state_plateau_db, grid)) > target + 0.25
+        mu = match_step_size(
+            target, "clms", model, (1e-4, 0.5), cs=cs, params=p,
+            trials=4, horizon=1500, base_seed=1,
+        )
+        matched = run_monte_carlo(model, "clms", AlgorithmParams(mu=mu), 4, 1500, 1, cs=cs)
+        assert steady_state_plateau_db(matched) == pytest.approx(target, abs=0.25)
 
     def test_plateau_monotone_in_mu(self):
         model, cs = exp1_scenario()
