@@ -22,10 +22,11 @@ algorithm matched to it, if any (lms to lmls, clms to clmls), at the step
 sizes that match its plateaus; and one theory recursion. `_run_jobs` spreads
 the jobs over the cores this process may use: this process computes one
 share and a forked child each other share. Results come back in job order,
-and the first failure in job order ends the run, so the outputs, the
-messages and the exit code are those of one core, which takes the sweeps
-level by level, each matched algorithm right after its reference, and then
-the recursions. There is no option for this: one core, or one job, forks
+and the first failure in job order ends the run (a share runs none of its
+jobs after its own first failure), so the outputs, the messages and the
+exit code are those of one core, which takes the sweeps level by level,
+each matched algorithm right after its reference, and then the
+recursions. There is no option for this: one core, or one job, forks
 nothing.
 
 Exit codes: 0 success, 1 config error, 2 runtime divergence, 3 I/O error.
@@ -407,12 +408,24 @@ def _attempt(job: Callable[[], Any]) -> tuple[bool, Any]:
         return False, exc
 
 
+def _attempt_each(jobs: Sequence[Callable[[], Any]]) -> list[tuple[bool, Any]]:
+    """`_attempt` outcomes of the jobs in order, up to and including the
+    first failure: a later job of the same share cannot be the first failure
+    in job order, so it is not run."""
+    outcomes = []
+    for job in jobs:
+        outcomes.append(_attempt(job))
+        if not outcomes[-1][0]:
+            break
+    return outcomes
+
+
 def _child(write: int, jobs: Sequence[Callable[[], Any]]) -> NoReturn:
     """In a forked child: send the jobs' outcomes through `write` and exit,
     never returning into the parent's stack."""
     status = 1
     try:
-        outcomes = [_attempt(job) for job in jobs]
+        outcomes = _attempt_each(jobs)
         with open(write, "wb") as fh:
             pickle.dump(outcomes, fh, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -424,12 +437,14 @@ def _child(write: int, jobs: Sequence[Callable[[], Any]]) -> NoReturn:
 
 def _run_jobs(jobs: Sequence[Callable[[], Any]]) -> list[Any]:
     """The results of several independent jobs, in job order; or the first
-    failure in job order, raised once every job has run.
+    failure in job order, raised once every share has stopped.
 
     The jobs are dealt round-robin into one share per core, at most one per
     job. This process computes the first share. Each other share runs in a
     child made with os.fork, which inherits the jobs as they are, pickles its
-    `_attempt` outcomes back through a pipe and leaves with os._exit. So one
+    `_attempt` outcomes back through a pipe and leaves with os._exit. A share
+    stops at its first failure, since its later jobs come later in job order
+    too; every other share still runs to its end or its own failure. So one
     job, or one core, forks nothing. Every child is reaped before this returns
     or raises; if this process's own share is interrupted, the children are
     killed first.
@@ -449,8 +464,8 @@ def _run_jobs(jobs: Sequence[Callable[[], Any]]) -> list[Any]:
                 _child(write, jobs[k::n])
             os.close(write)
             children[pid] = (open(read, "rb"), range(k, len(jobs), n))
-        for j in range(0, len(jobs), n):
-            outcomes[j] = _attempt(jobs[j])
+        for j, outcome in zip(range(0, len(jobs), n), _attempt_each(jobs[::n])):
+            outcomes[j] = outcome
         for pid, (fh, share) in list(children.items()):
             with fh:
                 data = fh.read()

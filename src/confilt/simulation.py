@@ -116,7 +116,11 @@ class SignalModel:
 
 
 def white_signal_model(sigma_v2: float, w_sys: np.ndarray | SystemSchedule) -> SignalModel:
-    """White Gaussian tap inputs with unit variance."""
+    """White Gaussian tap inputs with unit variance.
+
+    R is exactly sigma_u^2 I, with no rounding off the diagonal: the theory
+    relies on that to step its two-scalar form of the variance recursion.
+    """
     L = len(_as_schedule(w_sys).systems[0])
     return SignalModel(R=_SIGMA_U2 * np.eye(L), sigma_v2=sigma_v2, w_sys=w_sys)
 

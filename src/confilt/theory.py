@@ -11,19 +11,35 @@ part of the L^2 x L^2 map
     vec(Phi) <- (I - 2 mu h_G kron(M, I)) vec(Phi) + mu^2 h_U vec(M),
 
 which the test oracle `variance_transition` in tests/test_theory.py builds.
-`transient_sweep` steps it in the eigenbasis of M = Q Lambda Q^T (one
-`eigh` per sweep), where it is elementwise: Psi = Q^T Phi Q follows
+`transient_sweep` is the one entry point: it steps every step size at once,
+one row each, and one step size is the one-row sweep. It takes one of two
+forms, chosen by the input alone.
+
+White input, R exactly r I (as `white_signal_model` builds it): M = r P,
+the initial deviation x0 = P(w_o - w0) lies in range(P) and the drive is
+proportional to P, so Phi(n) = a_n x0 x0^T + c_n P for every n, with
+a_0 = 1, c_0 = 0 and
+
+    a <- a (1 - 2 mu h_G r),    c <- c (1 - 2 mu h_G r) + mu^2 h_U r,
+    msd = a ||x0||^2 + c (L - K),    emse = r msd,
+
+K being the number of constraints. Each row is a scalar loop in Python
+floats: no eigendecomposition and no L x L state until the final Phi.
+
+Any other R is stepped in the eigenbasis of M = Q Lambda Q^T (one `eigh`
+per sweep), where the recursion is elementwise: Psi = Q^T Phi Q follows
 
     Psi_ij <- Psi_ij (1 - mu h_G (lambda_i + lambda_j)) + mu^2 h_U lambda_i [i = j],
 
 with emse = <Q^T R Q, Psi>, msd = trace(Psi), and Phi = Q Psi Q^T rebuilt
-once, at the end. `transient_sweep` is the one entry point: it steps every
-step size at once, one row each, and one step size is the one-row sweep.
-Rows share no arithmetic (elementwise updates, and one small readout
-product per row instead of one matrix product over all rows), so a row is
-bit-identical to its step size run alone. A diverged row is data, not an
-error: it runs on in inf/NaN (a non-finite entry of Psi never turns finite
-again), and its trace records the first non-finite readout as diverged_at.
+once, at the end. The two forms agree to rounding on white input.
+
+In both, rows share no arithmetic (scalar loops; elementwise updates and
+one small readout product per row instead of one matrix product over all
+rows), so a row is bit-identical to its step size run alone. A diverged row
+is data, not an error: it runs on in inf/NaN (a non-finite state never
+turns finite again), and its trace records the first non-finite readout as
+diverged_at.
 
 The moment functionals of g(e) = alpha e^3 / (1 + alpha e^2) for zero-mean
 Gaussian e of variance sigma_e^2(n) = emse(n) + sigma_v^2 (Al-Naffouri &
@@ -60,6 +76,7 @@ never uses it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +190,8 @@ def transient_sweep(
     N: int,
 ) -> list[TheoryTrace]:
     """Iterate the variance recursion from w(0) = w0 for N steps at each step
-    size in `mus` (params.mu is not used), all at once in M's eigenbasis.
+    size in `mus` (params.mu is not used): as two scalars per step size when
+    R is exactly r I, else all at once in M's eigenbasis.
 
     The initial deviation is projected onto range(P), matching the
     feasible-start convention of the simulations. Each trace holds
@@ -189,8 +207,63 @@ def transient_sweep(
         raise ValueError("need at least one step size")
     R = scenario.R
     w_o = optimal_constrained_wiener(scenario, cs)
-    lam, Q = np.linalg.eigh(cs.P @ R @ cs.P)
-    x0 = Q.T @ (cs.P @ (w_o - np.asarray(w0, dtype=float)))
+    dev = cs.P @ (w_o - np.asarray(w0, dtype=float))
+    r = float(R[0, 0])  # a Python float: its arithmetic on a diverged row never warns
+    # a diverged row runs on in inf/nan, which never turns finite again;
+    # silence that arithmetic, the readout records where it began
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.array_equal(R, r * np.eye(len(R))):
+            curves, phis = _white_rows(r, cs, dev, params.alpha, scenario.sigma_v2, mus, N)
+        else:
+            curves, phis = _eigen_rows(R, cs.P, dev, params.alpha, scenario.sigma_v2, mus, N)
+        # [n, b]: row b has diverged at or before iteration n
+        bad = np.logical_or.accumulate(~np.isfinite(curves).all(axis=2))
+        curves[bad] = np.nan
+        return [
+            TheoryTrace(
+                msd=curves[:, b, 1].copy(),
+                emse=curves[:, b, 0].copy(),
+                weight_correlation=0.5 * (phi + phi.T),
+                diverged_at=int(np.argmax(bad[:, b])) if bad[-1, b] else None,
+            )
+            for b, phi in enumerate(phis)
+        ]
+
+
+def _white_rows(r, cs, dev, alpha, sv2, mus, N):
+    """Curves [n, b] = (emse, msd) and final Phi per row for R = r I, where
+    Phi(n) = a_n dev dev^T + c_n P: two scalars per row, no L x L state."""
+    xx = float(dev @ dev)
+    rank = float(cs.C.shape[0] - cs.C.shape[1])  # trace(P) = L - K
+    curves = np.empty((N + 1, len(mus), 2))
+    phis = []
+    for b, mu in enumerate(mus):
+        shrink, drive = 2.0 * mu * r, mu * mu * r
+        a, c = 1.0, 0.0
+        readouts = array("d")  # emse, msd of each step, unboxed
+        for n in range(N + 1):
+            msd = a * xx + c * rank
+            emse = r * msd
+            readouts.append(emse)
+            readouts.append(msd)
+            if n == N:
+                break
+            se2 = max(emse, 0.0) + sv2
+            hg, hu = _kernel_moments(alpha * se2)
+            # a <- a (1 - 2 mu h_G r), c <- c (1 - 2 mu h_G r) + mu^2 h_U r, h_U = hu se2
+            decay = 1.0 - shrink * hg
+            a *= decay
+            c = c * decay + drive * hu * se2
+        curves[:, b] = np.frombuffer(readouts).reshape(N + 1, 2)
+        phis.append(a * np.outer(dev, dev) + c * cs.P)
+    return curves, phis
+
+
+def _eigen_rows(R, P, dev, alpha, sv2, mus, N):
+    """Curves [n, b] = (emse, msd) and final Phi per row, stepped
+    elementwise in the eigenbasis of M = P R P."""
+    lam, Q = np.linalg.eigh(P @ R @ P)
+    x0 = Q.T @ dev
     L, B = len(lam), len(mus)
     lam_sum = (lam[:, None] + lam).ravel()  # lambda_i + lambda_j
     lam_diag = np.diag(lam).ravel()
@@ -202,38 +275,21 @@ def transient_sweep(
     curves = np.empty((N + 1, B, 1, 2))  # [n, b, 0] = (emse, msd)
     gain, drive = np.zeros((B, 1)), np.zeros((B, 1))  # mu h_G and mu^2 h_U sigma_e^2 per row
     decay, forced = np.empty_like(psi), np.empty_like(psi)
-    alpha, sv2 = params.alpha, scenario.sigma_v2
-    # a diverged row runs on in inf/nan, which never turns finite again;
-    # silence that arithmetic, the readout records where it began
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(N + 1):
-            # one small product per row, so a row's rounding is its own
-            rows = np.matmul(psi_rows, read, out=curves[n]).tolist()
-            for b, ((emse_n, _),) in enumerate(rows):
-                se2 = max(emse_n, 0.0) + sv2
-                hg, hu = _kernel_moments(alpha * se2)
-                gain[b, 0] = mus[b] * hg
-                drive[b, 0] = mus[b] * mus[b] * hu * se2
-            if n == N:
-                break
-            # Psi <- Psi o (1 - mu h_G (lambda_i + lambda_j)) + mu^2 h_U sigma_e^2 Lambda
-            np.subtract(1.0, np.multiply(gain, lam_sum, out=decay), out=decay)
-            psi *= decay
-            psi += np.multiply(drive, lam_diag, out=forced)
-
-        # [n, b]: row b has diverged at or before iteration n
-        bad = np.logical_or.accumulate(~np.isfinite(curves).all(axis=(2, 3)))
-        curves[bad] = np.nan
-        traces = []
-        for b in range(B):
-            phi = Q @ psi[b].reshape(L, L) @ Q.T
-            traces.append(TheoryTrace(
-                msd=curves[:, b, 0, 1].copy(),
-                emse=curves[:, b, 0, 0].copy(),
-                weight_correlation=0.5 * (phi + phi.T),
-                diverged_at=int(np.argmax(bad[:, b])) if bad[-1, b] else None,
-            ))
-    return traces
+    for n in range(N + 1):
+        # one small product per row, so a row's rounding is its own
+        rows = np.matmul(psi_rows, read, out=curves[n]).tolist()
+        for b, ((emse_n, _),) in enumerate(rows):
+            se2 = max(emse_n, 0.0) + sv2
+            hg, hu = _kernel_moments(alpha * se2)
+            gain[b, 0] = mus[b] * hg
+            drive[b, 0] = mus[b] * mus[b] * hu * se2
+        if n == N:
+            break
+        # Psi <- Psi o (1 - mu h_G (lambda_i + lambda_j)) + mu^2 h_U sigma_e^2 Lambda
+        np.subtract(1.0, np.multiply(gain, lam_sum, out=decay), out=decay)
+        psi *= decay
+        psi += np.multiply(drive, lam_diag, out=forced)
+    return curves.reshape(N + 1, B, 2), [Q @ psi[b].reshape(L, L) @ Q.T for b in range(B)]
 
 
 def steady_state_emse(

@@ -473,6 +473,22 @@ def test_a_failed_job_comes_back_as_its_exception(monkeypatch):
         cli._run_jobs([lambda: None, lambda: slow() and unmatched(), lambda: 1 / 0])
 
 
+def test_a_share_stops_at_its_first_failure(monkeypatch, tmp_path):
+    # its later jobs come later in job order, so none of them can be the
+    # first failure: they are not run
+    calls = []
+    monkeypatch.setattr(cli, "_core_count", lambda: 1)
+    with pytest.raises(ZeroDivisionError):
+        cli._run_jobs([lambda: 1 / 0, lambda: calls.append("second")])
+    assert calls == []
+    # the child's share is jobs 1 and 3; this process's share still runs job 2
+    monkeypatch.setattr(cli, "_core_count", lambda: 2)
+    ran = tmp_path / "ran"
+    with pytest.raises(ZeroDivisionError):
+        cli._run_jobs([lambda: None, lambda: 1 / 0, lambda: calls.append("third"), ran.touch])
+    assert calls == ["third"] and not ran.exists()
+
+
 def test_a_child_that_sends_nothing_is_an_error(monkeypatch):
     monkeypatch.setattr(cli, "_core_count", lambda: 2)
     with pytest.raises(RuntimeError, match="ended without its results"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -12,6 +14,7 @@ from confilt.simulation import (
 )
 from confilt.theory import (
     GaussianErrorModel,
+    _eigen_rows,
     _kernel_moments,
     h_G,
     h_U,
@@ -216,13 +219,17 @@ class TestTransientPredictor:
         ratios = np.array(msd[1:]) / np.array(msd[:-1])
         assert np.all(ratios <= rho_eff + 1e-12)
 
-    @pytest.mark.parametrize("case, a_crossed", [("ar1-L10", 0.5), ("random-L3", 1e-3)])
+    @pytest.mark.parametrize("case, a_crossed", [("ar1-L10", 0.5), ("random-L3", 1e-3), ("white-L10", 0.5)])
     def test_matches_kronecker_oracle(self, case, a_crossed):
-        # the L x L recursion against F^T vec(Phi) + drive from
-        # variance_transition, symmetrised, with the public h_G / h_U;
-        # a = alpha sigma_e^2 crosses the regime limits of the moment
-        # evaluation (0.5 for the AR(1) case, 1e-3 for the random one)
-        if case == "ar1-L10":
+        # the L x L recursion (the two-scalar form for white input) against
+        # F^T vec(Phi) + drive from variance_transition, symmetrised, with
+        # the public h_G / h_U; a = alpha sigma_e^2 crosses the regime limits
+        # of the moment evaluation (0.5 for the AR(1) and white cases, 1e-3
+        # for the random one)
+        if case == "white-L10":
+            model, cs = exp1_setup()
+            params = AlgorithmParams(mu=0.05, alpha=1.0)
+        elif case == "ar1-L10":
             white, cs = exp1_setup()
             model = ar1_signal_model(0.8, 0.01, white.w_sys)
             params = AlgorithmParams(mu=0.05, alpha=1.0)
@@ -261,6 +268,56 @@ class TestTransientPredictor:
         assert isinstance(n, int) and 0 < n < 4000
         assert np.all(np.isfinite(trace.msd[:n])) and np.all(np.isfinite(trace.emse[:n]))
         assert np.all(np.isnan(trace.msd[n:])) and np.all(np.isnan(trace.emse[n:]))
+
+
+def dc_gain_setup(L=10, sigma_v2=0.01, seed=5):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(L)
+    w /= np.linalg.norm(w)
+    return white_signal_model(sigma_v2, w), build_constraint_set(np.ones((L, 1)), np.array([w.sum()]))
+
+
+class TestWhiteInput:
+    """R = r I: Phi(n) = a_n x0 x0^T + c_n P, two scalars per step size."""
+
+    MUS = [0.01, 0.05, 0.1, 0.3]
+
+    @pytest.mark.parametrize("case", ["linear-phase-L10", "linear-phase-L30", "dc-gain-L10"])
+    def test_equals_the_eigenbasis_recursion(self, case):
+        L = int(case.rsplit("L", 1)[1])
+        model, cs = dc_gain_setup(L) if case.startswith("dc-gain") else exp1_setup(L)
+        params, N = AlgorithmParams(mu=0.05, alpha=1.0), 1000
+        sweep = transient_sweep(model, cs, params, self.MUS, np.zeros(L), N)
+        dev = cs.P @ optimal_constrained_wiener(model, cs)
+        curves, phis = _eigen_rows(model.R, cs.P, dev, params.alpha, model.sigma_v2, self.MUS, N)
+        for b, trace in enumerate(sweep):
+            assert trace.diverged_at is None
+            np.testing.assert_allclose(trace.msd, curves[:, b, 1], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(trace.emse, curves[:, b, 0], rtol=1e-12, atol=0)
+            phi = 0.5 * (phis[b] + phis[b].T)
+            np.testing.assert_allclose(trace.weight_correlation, phi, rtol=0, atol=1e-12 * np.abs(phi).max())
+            assert np.array_equal(trace.weight_correlation, trace.weight_correlation.T)
+
+    @pytest.mark.parametrize("input_kind, eigh_calls", [("white", 0), ("ar1", 1)])
+    def test_only_correlated_input_needs_an_eigendecomposition(self, monkeypatch, input_kind, eigh_calls):
+        model, cs = exp1_setup()
+        if input_kind == "ar1":
+            model = ar1_signal_model(0.5, 0.01, model.w_sys)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        transient_sweep(model, cs, AlgorithmParams(mu=0.05), self.MUS, np.zeros(10), 20)
+        assert len(calls) == eigh_calls
+
+    @pytest.mark.parametrize("input_kind", ["white", "ar1"])
+    def test_a_diverging_row_warns_nothing(self, input_kind):
+        model, cs = exp1_setup()
+        if input_kind == "ar1":
+            model = ar1_signal_model(0.5, 0.01, model.w_sys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = transient_sweep(model, cs, AlgorithmParams(mu=0.05), [0.05, 500.0], np.zeros(10), 4000)
+        assert sweep[0].diverged_at is None and sweep[1].diverged_at is not None
 
 
 class TestTransientSweep:
