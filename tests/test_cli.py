@@ -101,6 +101,19 @@ def test_missing_or_unknown_id(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG and "[experiment] id = 'exp9': must be one of" in err
 
 
+@pytest.mark.parametrize(
+    "command, prefix", [("validate", "invalid"), ("run", "config error"), ("predict", "config error")],
+    ids=["validate", "run", "predict"],
+)
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command, prefix):
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes(f"[experiment]\nid = custom\n{SHORT}# caf\xe9\n".encode("latin-1"))
+    code, out, err = invoke(capsys, command, "--config", cfg, "--out-dir", tmp_path / "out")
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith(f"{prefix}: {cfg}: not UTF-8 text: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-3", "two"])
 def test_trials_flag_is_validated_before_running(tmp_path, capsys, trials):
     cfg = write(tmp_path, f"[experiment]\nid = custom\n{SHORT}")
