@@ -40,10 +40,19 @@ collected as usual, and `main` itself leaves the collector as it finds it,
 so calling it in-process changes nothing.
 
 Exit codes: 0 success, 1 config error, 2 runtime divergence, 3 I/O error.
-`run` exits 2 when every trial at a step size diverges or the step-size
-matcher cannot reach its target; `predict` exits 2, writing nothing, when its
-theory recursion diverges. A `run` point whose recursion diverges keeps its
-simulated columns, loses its theory columns and prints a warning.
+`main` alone turns a command's outcome into its code and one stderr line: a
+ConfigError exits 1 (`invalid:` from `validate`, `config error:` otherwise),
+an EnsembleDivergedError or StepSizeMatchError 2 (`run failed:`), an OSError
+3 (`i/o error:`; `cannot write template:` from `init`). A usage error exits
+1 as well, after argparse's usage text, since the command line is part of
+the config; `--help` exits 0. `run` exits 2 when every trial at a step size
+diverges or the step-size matcher cannot reach its target; `predict` exits
+2 (`predict failed:`), writing nothing, when its theory recursion diverges.
+A `run` point whose recursion diverges keeps its simulated columns, loses
+its theory columns and prints a warning. Any other exception is a fault of
+the program, not of its input (`_run_jobs`'s "worker process ... ended
+without its results", say): it ends in Python's traceback and status 1, the
+same number as a config error.
 """
 
 from __future__ import annotations
@@ -260,7 +269,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
     """Parse and resolve a config file; raises ConfigError on any problem.
 
     `overrides` maps ExperimentConfig fields to text that replaces the file's
-    value (the --seed, --trials and --out-dir flags).
+    value (the --seed, --trials and --out-dir flags); blank override text is
+    a ConfigError, where a blank file value takes the default.
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
@@ -290,6 +300,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
         anchor = f"{path}: [{row.section}] {row.key} = {text!r}"
         if sources[row.attr] == "command line":
             anchor += " from the command line"
+            if not text:
+                raise ConfigError(f"{anchor}: needs a value; leave the flag out to keep the config's")
         try:
             value = row.type.parse(text) if text else None
         except ValueError as exc:
@@ -669,102 +681,65 @@ def run_predict(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_init(args) -> int:
-    path = Path(args.config)
-    if path.exists() and not args.force:
-        print(f"refusing to overwrite {path} (use --force)", file=sys.stderr)
-        return EXIT_IO
-    try:
-        path.write_text(_template(), encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot write template: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote template config to {path}")
-    return EXIT_OK
-
-
-def _load_with_overrides(args) -> ExperimentConfig:
-    flags = {"base_seed": args.seed, "trials": args.trials, "out_dir": args.out_dir}
-    return load_config(args.config, {k: v for k, v in flags.items() if v is not None})
-
-
-def cmd_validate(args) -> int:
-    try:
-        cfg = _load_with_overrides(args)
-    except ConfigError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(f"config ok: experiment {cfg.experiment}, algorithms {', '.join(cfg.algorithms)}")
-    for note in cfg.notes:
-        print(f"  {note}")
-    return EXIT_OK
-
-
-def cmd_run(args) -> int:
-    try:
-        cfg = _load_with_overrides(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        run_experiment(cfg, Path(cfg.out_dir))
-    except (EnsembleDivergedError, StepSizeMatchError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"experiment {cfg.experiment} complete; results in {cfg.out_dir}/")
-    return EXIT_OK
-
-
-def cmd_predict(args) -> int:
-    try:
-        cfg = _load_with_overrides(args)
-        return run_predict(cfg, Path(cfg.out_dir))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="confilt",
         description="constrained adaptive filtering experiment runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    p_init = sub.add_parser("init", help="write a commented template config")
+    p_init.add_argument("--config", required=True, help="where to write the template")
+    p_init.add_argument("--force", action="store_true", help="overwrite an existing file")
+    for command, text in (
+        ("validate", "check a config without running"),
+        ("run", "run the configured experiment"),
+        ("predict", "theory-only prediction"),
+    ):
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", required=True, help="path to the INI config")
         p.add_argument("--seed", help="override base_seed")
         p.add_argument("--trials", help="override trials")
         p.add_argument("--out-dir", help="override output directory")
-
-    p_init = sub.add_parser("init", help="write a commented template config")
-    p_init.add_argument("--config", required=True, help="where to write the template")
-    p_init.add_argument("--force", action="store_true", help="overwrite an existing file")
-    p_init.set_defaults(func=cmd_init)
-
-    p_val = sub.add_parser("validate", help="check a config without running")
-    add_common(p_val)
-    p_val.set_defaults(func=cmd_validate)
-
-    p_run = sub.add_parser("run", help="run the configured experiment")
-    add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_pred = sub.add_parser("predict", help="theory-only prediction")
-    add_common(p_pred)
-    p_pred.set_defaults(func=cmd_predict)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; its exit code. Every outcome of every command
+    becomes its code and message here (see the module docstring)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or the usage and the error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    try:
+        if args.command == "init":
+            path = Path(args.config)
+            if path.exists() and not args.force:
+                print(f"refusing to overwrite {path} (use --force)", file=sys.stderr)
+                return EXIT_IO
+            path.write_text(_template(), encoding="utf-8")
+            print(f"wrote template config to {path}")
+            return EXIT_OK
+        flags = {"base_seed": args.seed, "trials": args.trials, "out_dir": args.out_dir}
+        cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
+        if args.command == "validate":
+            print(f"config ok: experiment {cfg.experiment}, algorithms {', '.join(cfg.algorithms)}")
+            for note in cfg.notes:
+                print(f"  {note}")
+            return EXIT_OK
+        if args.command == "predict":
+            return run_predict(cfg, Path(cfg.out_dir))
+        run_experiment(cfg, Path(cfg.out_dir))
+        print(f"experiment {cfg.experiment} complete; results in {cfg.out_dir}/")
+        return EXIT_OK
+    except ConfigError as exc:
+        print(f"{'invalid' if args.command == 'validate' else 'config error'}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (EnsembleDivergedError, StepSizeMatchError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except OSError as exc:
+        print(f"{'cannot write template' if args.command == 'init' else 'i/o error'}: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def entry() -> int:

@@ -606,9 +606,10 @@ def run_monte_carlo(
 ) -> RunResult:
     """Ensemble-average an algorithm over independent trials at params.mu.
 
-    The one-step-size case of `run_step_size_sweep`. n_workers is accepted
-    and ignored; it stays because perfbench/tracing.py still passes
-    n_workers=2.
+    The one-step-size case of `run_step_size_sweep`. The package itself no
+    longer calls it; it stays for perfbench/tracing.py and the tests, which
+    do. n_workers is accepted and ignored; it stays because
+    perfbench/tracing.py still passes n_workers=2.
     """
     return run_step_size_sweep(model, algorithm, params, [params.mu], trials, horizon, base_seed, cs=cs)[0]
 
@@ -682,8 +683,8 @@ def match_step_size(
     geometric scan locates the rising branch, then bisection refines on it.
     Where the scan's best point lies above the target, the valley may lie
     between grid points, so one more scan between that point's neighbours
-    is merged in before the target counts as out of reach. Each scan runs as
-    one step-size sweep; the bisection probes run one mu each. All probes
+    is merged in before the target counts as out of reach. Each scan, and
+    each bisection probe, runs as one step-size sweep. All probes
     reuse the same trial seeds (common random numbers), so the plateau is a
     smooth function of mu; where every trial diverges it is +inf dB, above
     any target, so the search brackets below. Returns mu whose
@@ -691,15 +692,6 @@ def match_step_size(
     width is at most _MATCH_REL_WIDTH, else the best of _MATCH_MAX_EVALS
     bisection probes.
     """
-    def plateau(mu: float) -> float:
-        try:
-            res = run_monte_carlo(
-                model, algorithm, replace(params, mu=mu), trials, horizon, base_seed, cs=cs
-            )
-        except EnsembleDivergedError:
-            return math.inf
-        return steady_state_plateau_db(res)
-
     lo, hi = search_bounds
     if not (0 < lo < hi):
         raise ValueError(f"invalid search bounds {search_bounds}")
@@ -754,7 +746,7 @@ def match_step_size(
         if best_gap <= _MATCH_TOL_DB and (hi - lo) <= _MATCH_REL_WIDTH * hi:
             break
         mid = math.sqrt(lo * hi)
-        p_mid = plateau(mid)
+        (p_mid,) = scan([mid])
         if abs(p_mid - reference_msd_db) < best_gap:
             best_mu, best_gap = mid, abs(p_mid - reference_msd_db)
         if p_mid < reference_msd_db:

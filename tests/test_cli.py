@@ -175,6 +175,98 @@ def test_io_errors_exit_3(tmp_path, capsys):
     assert invoke(capsys, "init", "--config", cfg, "--force")[0] == cli.EXIT_OK
 
 
+CUSTOM = f"[experiment]\nid = custom\n{SHORT}"
+RUN = ("--trials", "2", "--out-dir", "{out}")
+# name -> (argv, config text, exit code, first line of stderr). In argv, {cfg}
+# is the config written from the text, {out} a directory yet to be made,
+# {file} an existing regular file, {new} a file yet to be written and
+# {missing} a file in a directory that does not exist
+OUTCOMES = {
+    "validate": (["validate", "--config", "{cfg}"], CUSTOM, cli.EXIT_OK, ""),
+    "validate-bad-value": (["validate", "--config", "{cfg}"], CUSTOM + "\n[params]\nmu = abc\n",
+                           cli.EXIT_CONFIG, "invalid: {cfg}: [params] mu = 'abc': "),
+    "validate-no-config-file": (["validate", "--config", "{missing}"], None,
+                                cli.EXIT_CONFIG, "invalid: {missing}: cannot read config: "),
+    "run": (["run", "--config", "{cfg}", *RUN], CUSTOM, cli.EXIT_OK, ""),
+    "run-bad-value": (["run", "--config", "{cfg}", *RUN], CUSTOM + "\n[params]\nmu = abc\n",
+                      cli.EXIT_CONFIG, "config error: {cfg}: [params] mu = 'abc': "),
+    "run-diverges": (["run", "--config", "{cfg}", *RUN], CUSTOM + "\n[params]\nmu = 1000\n",
+                     cli.EXIT_DIVERGED, "run failed: all 2 trials of clmls at mu = 1000 diverged"),
+    "run-matcher-misses": (
+        ["run", "--config", "{cfg}", *RUN],
+        f"[experiment]\nid = exp1\nalgorithms = lms, lmls\n{SHORT}\n[matching]\nbounds = 1e-4, 2e-4\ntrials = 2\n",
+        cli.EXIT_DIVERGED, "run failed: target ",
+    ),
+    "run-out-dir-is-a-file": (["run", "--config", "{cfg}", "--trials", "2", "--out-dir", "{file}"], CUSTOM,
+                              cli.EXIT_IO, "i/o error: "),
+    "predict": (["predict", "--config", "{cfg}", "--out-dir", "{out}"], CUSTOM, cli.EXIT_OK, ""),
+    "predict-bad-value": (["predict", "--config", "{cfg}", "--out-dir", "{out}"], CUSTOM + "\n[params]\nmu = abc\n",
+                          cli.EXIT_CONFIG, "config error: {cfg}: [params] mu = 'abc': "),
+    "predict-several-points": (["predict", "--config", "{cfg}", "--out-dir", "{out}"],
+                               f"[experiment]\nid = exp2-mu\n{SHORT}",
+                               cli.EXIT_CONFIG, "config error: predict needs a single scenario point"),
+    "predict-switching-system": (["predict", "--config", "{cfg}", "--out-dir", "{out}"],
+                                 f"[experiment]\nid = exp3\n{SHORT}",
+                                 cli.EXIT_CONFIG, "config error: [experiment] id = exp3: predict needs a fixed system"),
+    "predict-unconstrained": (["predict", "--config", "{cfg}", "--out-dir", "{out}"],
+                              CUSTOM + "algorithms = lms\n\n[scenario]\nconstraint = none\n",
+                              cli.EXIT_CONFIG, "config error: predict requires a constrained scenario"),
+    "predict-diverges": (["predict", "--config", "{cfg}", "--out-dir", "{out}"], CUSTOM + "\n[params]\nmu = 1000\n",
+                         cli.EXIT_DIVERGED, "predict failed: theory recursion diverged at iteration 47"),
+    "predict-out-dir-is-a-file": (["predict", "--config", "{cfg}", "--out-dir", "{file}"], CUSTOM,
+                                  cli.EXIT_IO, "i/o error: "),
+    "init": (["init", "--config", "{new}"], None, cli.EXIT_OK, ""),
+    "init-over-a-file": (["init", "--config", "{file}"], None,
+                         cli.EXIT_IO, "refusing to overwrite {file} (use --force)"),
+    "init-force": (["init", "--config", "{file}", "--force"], None, cli.EXIT_OK, ""),
+    "init-no-directory": (["init", "--config", "{missing}"], None, cli.EXIT_IO, "cannot write template: "),
+    "usage-no-command": ([], None, cli.EXIT_CONFIG, "usage: confilt "),
+    "usage-no-config": (["run"], None, cli.EXIT_CONFIG, "usage: confilt run "),
+    "usage-unknown-command": (["simulate", "--config", "{cfg}"], CUSTOM, cli.EXIT_CONFIG, "usage: confilt "),
+    "usage-unknown-flag": (["validate", "--config", "{cfg}", "--bogus"], CUSTOM, cli.EXIT_CONFIG, "usage: confilt "),
+    "help": (["--help"], None, cli.EXIT_OK, ""),
+    "run-help": (["run", "--help"], None, cli.EXIT_OK, ""),
+}
+
+
+@pytest.mark.parametrize("case", OUTCOMES)
+def test_every_outcome_of_every_command(tmp_path, capsys, case):
+    argv, text, code, first_line = OUTCOMES[case]
+    paths = {
+        "cfg": tmp_path / "config.ini", "out": tmp_path / "out", "file": tmp_path / "file.txt",
+        "new": tmp_path / "new.ini", "missing": tmp_path / "no-such-dir" / "config.ini",
+    }
+    if text is not None:
+        paths["cfg"].write_text(text, encoding="utf-8")
+    paths["file"].write_text("not a directory\n", encoding="utf-8")
+    try:
+        got = cli.main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:  # whatever escapes `main` ends the program with its code
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.partition("\n")[0].startswith(first_line.format(**paths))
+    assert (err == "") == (first_line == "")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, anchor", [
+    ("--seed", "[experiment] base_seed"), ("--trials", "[experiment] trials"), ("--out-dir", "[output] dir"),
+], ids=["seed", "trials", "out-dir"])
+@pytest.mark.parametrize(
+    "command, prefix", [("validate", "invalid"), ("run", "config error"), ("predict", "config error")],
+    ids=["validate", "run", "predict"],
+)
+def test_an_empty_override_is_a_config_error(tmp_path, capsys, monkeypatch, command, prefix, flag, anchor):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, CUSTOM)
+    flags = {"--seed": "101", "--trials": "2", "--out-dir": "out", flag: ""}
+    code, out, err = invoke(capsys, command, "--config", cfg, *(x for item in flags.items() for x in item))
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith(f"{prefix}: {cfg}: {anchor} = '' from the command line: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]
+
+
 def test_template_lists_every_key_with_its_defaults(tmp_path, capsys):
     path = tmp_path / "template.ini"
     assert invoke(capsys, "init", "--config", path)[0] == cli.EXIT_OK

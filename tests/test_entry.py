@@ -27,13 +27,16 @@ STRICT_PYTHON = [sys.executable, "-X", "dev", "-W", "error"]
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 SHORT = "horizon = 200\nsystem_seed = 101\n"
-# name -> (command, config, exit code); the "out-dir-is-a-file" case finds a file at --out-dir
+# name -> (command, config, exit code, lines on stderr); the "out-dir-is-a-file"
+# case finds a file at --out-dir, and "usage-error" names a command
+# that does not exist
 CASES = {
-    "run": ("run", f"[experiment]\nid = exp2-mu\n{SHORT}", cli.EXIT_OK),
-    "predict": ("predict", f"[experiment]\nid = custom\nfilter_length = 30\n{SHORT}", cli.EXIT_OK),
-    "bad-config": ("run", f"[experiment]\nid = custom\n{SHORT}\n[params]\nmu = abc\n", cli.EXIT_CONFIG),
-    "predict-diverges": ("predict", f"[experiment]\nid = custom\n{SHORT}\n[params]\nmu = 1000\n", cli.EXIT_DIVERGED),
-    "out-dir-is-a-file": ("run", f"[experiment]\nid = custom\n{SHORT}", cli.EXIT_IO),
+    "run": ("run", f"[experiment]\nid = exp2-mu\n{SHORT}", cli.EXIT_OK, 0),
+    "predict": ("predict", f"[experiment]\nid = custom\nfilter_length = 30\n{SHORT}", cli.EXIT_OK, 0),
+    "bad-config": ("run", f"[experiment]\nid = custom\n{SHORT}\n[params]\nmu = abc\n", cli.EXIT_CONFIG, 1),
+    "predict-diverges": ("predict", f"[experiment]\nid = custom\n{SHORT}\n[params]\nmu = 1000\n", cli.EXIT_DIVERGED, 1),
+    "out-dir-is-a-file": ("run", f"[experiment]\nid = custom\n{SHORT}", cli.EXIT_IO, 1),
+    "usage-error": ("simulate", f"[experiment]\nid = custom\n{SHORT}", cli.EXIT_CONFIG, 2),  # usage, then the error
 }
 
 
@@ -55,7 +58,7 @@ def outputs(cwd: Path) -> dict[str, bytes] | bytes | None:
 
 @pytest.mark.parametrize("case", CASES)
 def test_the_entry_writes_what_main_writes(tmp_path, capsys, monkeypatch, case):
-    command, text, code = CASES[case]
+    command, text, code, lines = CASES[case]
     cfg = tmp_path / "config.ini"
     cfg.write_text(text, encoding="utf-8")
     argv = [command, "--config", str(cfg), "--trials", "2", "--seed", "101", "--out-dir", "out"]
@@ -76,7 +79,7 @@ def test_the_entry_writes_what_main_writes(tmp_path, capsys, monkeypatch, case):
     if code == cli.EXIT_OK:
         assert runs["entry"][2] == "" and runs["entry"][3]
     else:
-        assert runs["entry"][2].count("\n") == 1  # one message, no traceback
+        assert runs["entry"][2].count("\n") == lines  # the message, no traceback
 
 
 # prints the collector's state when `main` starts parsing its arguments

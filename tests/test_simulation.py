@@ -380,6 +380,28 @@ class TestStepSizeMatching:
         matched = run_monte_carlo(model, "clms", AlgorithmParams(mu=mu), 4, 1500, 1, cs=cs)
         assert steady_state_plateau_db(matched) == pytest.approx(target, abs=0.25)
 
+    def test_every_probe_is_one_step_size_sweep(self, monkeypatch):
+        # the grid, the zoom and each bisection probe are one engine call
+        # each; the one-step-size wrapper is not among them
+        model, cs = exp1_scenario()
+        p = AlgorithmParams(mu=0.05)
+        target = steady_state_plateau_db(run_monte_carlo(model, "clmls", p, 4, 1500, 1, cs=cs))
+        sweep, sizes = simulation.run_step_size_sweep, []
+
+        def counted(model, name, params, mus, *args, **kwargs):
+            sizes.append(len(mus))
+            return sweep(model, name, params, mus, *args, **kwargs)
+
+        monkeypatch.setattr(simulation, "run_step_size_sweep", counted)
+        monkeypatch.setattr(simulation, "run_monte_carlo", None)
+        mu = match_step_size(
+            target, "clms", model, (1e-4, 0.5), cs=cs, params=p,
+            trials=4, horizon=1500, base_seed=1,
+        )
+        assert sizes[:2] == [6, 6] and len(sizes) > 2 and set(sizes[2:]) == {1}
+        (matched,) = sweep(model, "clms", p, [mu], 4, 1500, 1, cs=cs)
+        assert steady_state_plateau_db(matched) == pytest.approx(target, abs=0.25)
+
     def test_plateau_monotone_in_mu(self):
         model, cs = exp1_scenario()
         plateaus = []
