@@ -10,10 +10,16 @@ and the minimum-norm feasible point
     f = C (C^T C)^{-1} z.
 
 Every constrained update in this package is of the form
-``w <- P (candidate) + f``, which keeps the iterate feasible to rounding:
-P and f are computed in floating point, so ``C^T w - z`` is of the order of
-the machine epsilon rather than zero (exp2-mu reports
-``max_residual=2.2e-16``).
+``w <- P (candidate) + f``. How feasible that keeps the iterate depends on
+how P and f were formed:
+
+- the linear-phase set (`linear_phase_constraints`) is built in closed
+  form, P = (I + J)/2 and f = 0, which floating point holds exactly: P w is
+  exactly symmetric, so ``C^T w - z`` is exactly zero (linear-phase runs
+  report ``max_residual=0``);
+- a general C (`build_constraint_set`, used for the dc-gain constraint)
+  takes P and f from an SVD, so ``C^T w - z`` is of the order of the
+  machine epsilon rather than zero.
 """
 
 from __future__ import annotations
@@ -121,6 +127,12 @@ def linear_phase_constraints(L: int) -> ConstraintSet:
     For even L the constraint matrix stacks I_{L/2} above -J_{L/2}
     (J the reversal matrix); for odd L a zero row separates the two
     blocks and the middle tap is unconstrained. z = 0, hence f = 0.
+
+    P = (I + J_L)/2 is built directly, not by `build_constraint_set`: its
+    entries 0, 1/2 and 1 (the middle tap of odd L) are exact, so P is
+    exactly symmetric and idempotent, C^T P is exactly zero, and P w of a
+    finite w is exactly symmetric, with residual exactly zero. An SVD of
+    the same C gives P only to rounding (off by up to 4.4e-16).
     """
     if L < 2:
         raise ValueError(f"filter length must be at least 2, got L={L}")
@@ -130,4 +142,5 @@ def linear_phase_constraints(L: int) -> ConstraintSet:
         C = np.vstack([np.eye(half), -J])
     else:
         C = np.vstack([np.eye(half), np.zeros((1, half)), -J])
-    return build_constraint_set(C, np.zeros(half))
+    P = 0.5 * (np.eye(L) + np.eye(L)[::-1])
+    return ConstraintSet(C=C, z=np.zeros(half), P=P, f=np.zeros(L))

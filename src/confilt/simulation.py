@@ -118,11 +118,27 @@ class SignalModel:
 def white_signal_model(sigma_v2: float, w_sys: np.ndarray | SystemSchedule) -> SignalModel:
     """White Gaussian tap inputs with unit variance.
 
-    R is exactly sigma_u^2 I, with no rounding off the diagonal: the theory
-    relies on that to step its two-scalar form of the variance recursion.
+    R is exactly sigma_u^2 I, with no rounding off the diagonal, so that
+    `white_input_power` recognises it. Three closed forms rely on that, each
+    in place of a LAPACK call: the reference optima of `_optimum`
+    (w_sys, or P w_sys + f, instead of `solve`), the two-scalar variance
+    recursion of `theory.transient_sweep` (instead of `eigh`) and the factor
+    beta = sigma_u^2 (L - K) of `theory.steady_state_emse` (instead of
+    `pinv`).
     """
     L = len(_as_schedule(w_sys).systems[0])
     return SignalModel(R=_SIGMA_U2 * np.eye(L), sigma_v2=sigma_v2, w_sys=w_sys)
+
+
+def white_input_power(R: np.ndarray) -> float | None:
+    """r when the input covariance R is exactly r I with r > 0, else None.
+
+    An exact test, with no tolerance: only then do the white-input closed
+    forms equal the general formulas (`white_signal_model`). r is a Python
+    float.
+    """
+    r = float(R[0, 0])
+    return r if r > 0.0 and np.array_equal(R, r * np.eye(len(R))) else None
 
 
 def ar1_signal_model(rho: float, sigma_v2: float, w_sys: np.ndarray | SystemSchedule) -> SignalModel:
@@ -158,25 +174,32 @@ def noise_var_from_snr(snr_db: float, model: SignalModel) -> float:
 
 def _optimum(R: np.ndarray, w_sys: np.ndarray, cs: ConstraintSet | None) -> np.ndarray:
     """The Wiener solution h = R^{-1} p, p = R w_sys, or with a constraint set
-    the constrained one, w_o = h + R^{-1} C (C^T R C)^{-1} (z - C^T h)."""
-    h = np.linalg.solve(R, R @ w_sys)
+    the constrained one, w_o = h + R^{-1} C (C^T R^{-1} C)^{-1} (z - C^T h).
+
+    For white R = r I these are h = w_sys and w_o = P w_sys + f (the
+    correction in the R metric is then the orthogonal projection), with no
+    linear solve."""
+    white = white_input_power(R) is not None
+    h = np.array(w_sys, dtype=float) if white else np.linalg.solve(R, R @ w_sys)
     if cs is None:
         return h
-    rinv_c = np.linalg.solve(R, cs.C)
-    A = cs.C.T @ rinv_c
-    w_o = h + rinv_c @ np.linalg.solve(A, cs.z - cs.C.T @ h)
+    if white:
+        w_o = cs.project(h)
+    else:
+        rinv_c = np.linalg.solve(R, cs.C)
+        w_o = h + rinv_c @ np.linalg.solve(cs.C.T @ rinv_c, cs.z - cs.C.T @ h)
     if not np.all(np.isfinite(w_o)):
         raise np.linalg.LinAlgError("constrained Wiener solution is not finite")
     return w_o
 
 
 def optimal_constrained_wiener(model: SignalModel, cs: ConstraintSet) -> np.ndarray:
-    """Constrained Wiener solution w_o = h + R^{-1} C (C^T R C)^{-1} (z - C^T h)
+    """Constrained Wiener solution w_o = h + R^{-1} C (C^T R^{-1} C)^{-1} (z - C^T h)
     of a fixed system, the one-segment case of `segment_optima`.
 
     h = R^{-1} p is the unconstrained optimum; the correction restores
     feasibility in the R metric. Raises TypeError for a schedule of more
-    than one segment, and numpy.linalg.LinAlgError when R or C^T R C is
+    than one segment, and numpy.linalg.LinAlgError when R or C^T R^{-1} C is
     singular.
     """
     if len(model.w_sys.systems) > 1:

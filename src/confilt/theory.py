@@ -15,10 +15,10 @@ which the test oracle `variance_transition` in tests/test_theory.py builds.
 one row each, and one step size is the one-row sweep. It takes one of two
 forms, chosen by the input alone.
 
-White input, R exactly r I (as `white_signal_model` builds it): M = r P,
-the initial deviation x0 = P(w_o - w0) lies in range(P) and the drive is
-proportional to P, so Phi(n) = a_n x0 x0^T + c_n P for every n, with
-a_0 = 1, c_0 = 0 and
+White input, R exactly r I (`white_input_power`; `white_signal_model`
+builds it so): M = r P, the initial deviation x0 = P(w_o - w0) lies in
+range(P) and the drive is proportional to P, so Phi(n) = a_n x0 x0^T + c_n P
+for every n, with a_0 = 1, c_0 = 0 and
 
     a <- a (1 - 2 mu h_G r),    c <- c (1 - 2 mu h_G r) + mu^2 h_U r,
     msd = a ||x0||^2 + c (L - K),    emse = r msd,
@@ -83,7 +83,7 @@ import numpy as np
 
 from .constraints import ConstraintSet
 from .kernels import AlgorithmParams
-from .simulation import SignalModel, optimal_constrained_wiener
+from .simulation import SignalModel, optimal_constrained_wiener, white_input_power
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,11 @@ def transient_sweep(
     R = scenario.R
     w_o = optimal_constrained_wiener(scenario, cs)
     dev = cs.P @ (w_o - np.asarray(w0, dtype=float))
-    r = float(R[0, 0])  # a Python float: its arithmetic on a diverged row never warns
+    r = white_input_power(R)  # None or a Python float, whose arithmetic on a diverged row never warns
     # a diverged row runs on in inf/nan, which never turns finite again;
     # silence that arithmetic, the readout records where it began
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.array_equal(R, r * np.eye(len(R))):
+        if r is not None:
             curves, phis = _white_rows(r, cs, dev, params.alpha, scenario.sigma_v2, mus, N)
         else:
             curves, phis = _eigen_rows(R, cs.P, dev, params.alpha, scenario.sigma_v2, mus, N)
@@ -299,15 +299,23 @@ def steady_state_emse(
 
     beta_factor = vec(M)^T kron(M, I)^+ vec(R) = trace(M R M^+), M = P R P:
     the factored pseudo-inverse acts only on the deviation subspace
-    range(P) where the weight error lives. A negative
+    range(P) where the weight error lives. For white input R = r I it is
+    exactly beta = r (L - K), K the number of constraints (M = r P, so
+    M R M^+ = r P), and no pseudo-inverse is formed; the MSD's counterpart
+    trace(M M^+) = rank(P R P) is L - K for either. A negative
     discriminant (step size too large for the asymptotic model) is
     reported via valid=False with NaN predictions.
     """
     R = scenario.R
-    M = cs.P @ R @ cs.P
-    Mp = np.linalg.pinv(M, hermitian=True)
-    beta = float(np.trace(M @ R @ Mp))
-    beta_msd = float(np.trace(M @ Mp))  # = rank(P R P) = L - K
+    r = white_input_power(R)
+    if r is not None:
+        beta_msd = float(cs.C.shape[0] - cs.C.shape[1])
+        beta = r * beta_msd
+    else:
+        M = cs.P @ R @ cs.P
+        Mp = np.linalg.pinv(M, hermitian=True)
+        beta = float(np.trace(M @ R @ Mp))
+        beta_msd = float(np.trace(M @ Mp))
 
     mu, alpha = params.mu, params.alpha
     sv2 = scenario.sigma_v2

@@ -616,3 +616,57 @@ def test_children_are_killed_and_reaped_when_this_process_is_interrupted(monkeyp
     assert time.perf_counter() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+FACTORISATIONS = ("svd", "solve", "pinv", "eigh", "eigvalsh", "inv", "lstsq")
+
+
+def record_factorisations(monkeypatch, fail: bool) -> list[str]:
+    """The names of the numpy.linalg factorisations called from now on, each
+    of which then raises (fail) or runs as usual."""
+    calls = []
+    for name in FACTORISATIONS:
+        def recorded(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            if fail:
+                raise AssertionError(f"numpy.linalg.{_name} called")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("command, experiment", [("predict", "id = custom\nfilter_length = 30\n"), ("run", "id = exp2-mu\n")])
+def test_white_linear_phase_commands_factorise_nothing(tmp_path, capsys, monkeypatch, command, experiment):
+    # white input and the linear-phase constraint have closed forms for the
+    # projector, the reference optimum, the recursion and beta
+    monkeypatch.setattr(cli, "_core_count", lambda: 1)
+    calls = record_factorisations(monkeypatch, fail=True)
+    cfg = write(tmp_path, f"[experiment]\n{experiment}{SHORT}")
+    code, _, err = invoke(capsys, command, "--config", cfg, "--trials", 2, "--out-dir", tmp_path / "out")
+    assert (code, err, calls) == (cli.EXIT_OK, "", [])
+
+
+@pytest.mark.parametrize(
+    "scenario, factorisations",
+    [
+        ("input = white\nconstraint = linear-phase\n", set()),
+        ("input = white\nconstraint = dc-gain\n", {"svd"}),
+        ("input = ar1\nconstraint = linear-phase\n", {"solve", "eigh", "pinv"}),
+        ("input = ar1\nconstraint = dc-gain\n", {"svd", "solve", "eigh", "pinv"}),
+    ],
+)
+def test_only_a_general_constraint_or_correlated_input_factorises(tmp_path, capsys, monkeypatch, scenario, factorisations):
+    calls = record_factorisations(monkeypatch, fail=False)
+    cfg = write(tmp_path, f"[experiment]\nid = custom\nfilter_length = 30\n{SHORT}\n[scenario]\n{scenario}")
+    assert invoke(capsys, "predict", "--config", cfg, "--out-dir", tmp_path / "out")[0] == cli.EXIT_OK
+    assert set(calls) == factorisations
+
+
+def test_linear_phase_runs_are_exactly_feasible(tmp_path, capsys):
+    cfg = write(tmp_path, f"[experiment]\nid = exp2-mu\n{SHORT}")
+    out = tmp_path / "out"
+    assert invoke(capsys, "run", "--config", cfg, "--trials", 2, "--out-dir", out)[0] == cli.EXIT_OK
+    curves = [line for line in (out / "summary.txt").read_text().splitlines() if "plateau_db=" in line]
+    assert len(curves) == 3
+    assert all(line.endswith(" max_residual=0") for line in curves)

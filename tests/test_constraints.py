@@ -79,3 +79,20 @@ class TestLinearPhase:
     def test_too_short(self):
         with pytest.raises(ValueError):
             linear_phase_constraints(1)
+
+    @pytest.mark.parametrize("L", [2, 3, 10, 11, 30])
+    def test_projector_is_exact(self, L):
+        cs = linear_phase_constraints(L)
+        expected = np.zeros((L, L))
+        for i in range(L):
+            expected[i, i] += 0.5
+            expected[i, L - 1 - i] += 0.5
+        assert np.array_equal(cs.P, expected)
+        assert np.array_equal(cs.f, np.zeros(L))
+        assert np.array_equal(cs.C.T @ cs.P, np.zeros((L // 2, L)))
+        assert np.array_equal(cs.P @ cs.P, cs.P)
+        # C and z still describe the same set to the general builder, whose
+        # SVD projector is off by rounding only (measured: 4.4e-16 at each L)
+        general = build_constraint_set(cs.C, cs.z)
+        np.testing.assert_allclose(general.P, cs.P, rtol=0, atol=1e-15)
+        assert np.array_equal(general.f, cs.f)

