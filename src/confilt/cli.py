@@ -653,6 +653,8 @@ def run_predict(cfg: ExperimentConfig, out_dir: Path) -> int:
     model, cs = build_scenario(cfg, sigma_v2)
     if cs is None:
         raise ConfigError("predict requires a constrained scenario")
+    if "clmls" not in cfg.algorithms:
+        raise ConfigError(f"[experiment] algorithms = {', '.join(cfg.algorithms)}: predict models clmls only")
     params = AlgorithmParams(mu=mu, alpha=cfg.alpha, t=cfg.l1_budget, beta_slope=cfg.beta_slope)
     ((trace, pred, w_o2),) = _theory(model, cs, params, [mu], cfg.horizon)
     if trace.diverged_at is not None:

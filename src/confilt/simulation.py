@@ -119,12 +119,13 @@ def white_signal_model(sigma_v2: float, w_sys: np.ndarray | SystemSchedule) -> S
     """White Gaussian tap inputs with unit variance.
 
     R is exactly sigma_u^2 I, with no rounding off the diagonal, so that
-    `white_input_power` recognises it. Three closed forms rely on that, each
-    in place of a LAPACK call: the reference optima of `_optimum`
-    (w_sys, or P w_sys + f, instead of `solve`), the two-scalar variance
-    recursion of `theory.transient_sweep` (instead of `eigh`) and the factor
-    beta = sigma_u^2 (L - K) of `theory.steady_state_emse` (instead of
-    `pinv`).
+    `white_input_power` recognises it. Two closed forms rely on that, each
+    in place of a LAPACK call: the constrained optimum P w_sys + f of
+    `_optimum` (instead of two `solve`s) and the two-scalar variance
+    recursion of `theory.transient_sweep` (instead of `eigh`). The factor
+    beta of `theory.steady_state_emse` needs no LAPACK call for any input;
+    for white input it is sigma_u^2 (L - K), exact even where P's diagonal
+    carries rounding.
     """
     L = len(_as_schedule(w_sys).systems[0])
     return SignalModel(R=_SIGMA_U2 * np.eye(L), sigma_v2=sigma_v2, w_sys=w_sys)
@@ -173,17 +174,16 @@ def noise_var_from_snr(snr_db: float, model: SignalModel) -> float:
 
 
 def _optimum(R: np.ndarray, w_sys: np.ndarray, cs: ConstraintSet | None) -> np.ndarray:
-    """The Wiener solution h = R^{-1} p, p = R w_sys, or with a constraint set
-    the constrained one, w_o = h + R^{-1} C (C^T R^{-1} C)^{-1} (z - C^T h).
+    """The Wiener solution h = R^{-1} p, or with a constraint set the
+    constrained one, w_o = h + R^{-1} C (C^T R^{-1} C)^{-1} (z - C^T h).
 
-    For white R = r I these are h = w_sys and w_o = P w_sys + f (the
-    correction in the R metric is then the orthogonal projection), with no
-    linear solve."""
-    white = white_input_power(R) is not None
-    h = np.array(w_sys, dtype=float) if white else np.linalg.solve(R, R @ w_sys)
+    p = R w_sys by construction of the desired signal, so h = w_sys for
+    every R. For white R = r I, w_o = P w_sys + f (the correction in the R
+    metric is then the orthogonal projection), with no linear solve."""
+    h = np.array(w_sys, dtype=float)
     if cs is None:
         return h
-    if white:
+    if white_input_power(R) is not None:
         w_o = cs.project(h)
     else:
         rinv_c = np.linalg.solve(R, cs.C)
@@ -197,7 +197,7 @@ def optimal_constrained_wiener(model: SignalModel, cs: ConstraintSet) -> np.ndar
     """Constrained Wiener solution w_o = h + R^{-1} C (C^T R^{-1} C)^{-1} (z - C^T h)
     of a fixed system, the one-segment case of `segment_optima`.
 
-    h = R^{-1} p is the unconstrained optimum; the correction restores
+    h = R^{-1} p = w_sys is the unconstrained optimum; the correction restores
     feasibility in the R metric. Raises TypeError for a schedule of more
     than one segment, and numpy.linalg.LinAlgError when R or C^T R^{-1} C is
     singular.
@@ -499,7 +499,7 @@ def _run_rows(
             if spec.constrained:
                 # the residual after each step n divisible by the interval
                 checks = np.arange(-b % _RESIDUAL_CHECK_EVERY, k, _RESIDUAL_CHECK_EVERY)
-                resid = np.max(np.abs((cs.C.T @ ring[checks + 1][..., None])[..., 0] - cs.z), axis=-1)
+                resid = cs.residual(ring[checks + 1])
                 # like max(), fmax skips NaN
                 resid = np.fmax.reduce(np.where(completed[checks], resid, 0.0), axis=0, initial=0.0)
                 np.fmax(max_residual, resid, out=max_residual)

@@ -24,15 +24,15 @@ for every n, with a_0 = 1, c_0 = 0 and
     msd = a ||x0||^2 + c (L - K),    emse = r msd,
 
 K being the number of constraints. Each row is a scalar loop in Python
-floats: no eigendecomposition and no L x L state until the final Phi.
+floats: no eigendecomposition and no L x L state.
 
 Any other R is stepped in the eigenbasis of M = Q Lambda Q^T (one `eigh`
 per sweep), where the recursion is elementwise: Psi = Q^T Phi Q follows
 
     Psi_ij <- Psi_ij (1 - mu h_G (lambda_i + lambda_j)) + mu^2 h_U lambda_i [i = j],
 
-with emse = <Q^T R Q, Psi>, msd = trace(Psi), and Phi = Q Psi Q^T rebuilt
-once, at the end. The two forms agree to rounding on white input.
+with emse = <Q^T R Q, Psi> and msd = trace(Psi). The two forms agree to
+rounding on white input.
 
 In both, rows share no arithmetic (scalar loops; elementwise updates and
 one small readout product per row instead of one matrix product over all
@@ -68,9 +68,16 @@ fixed-point condition into a quadratic in the excess error power:
 
     emse(inf) = (1 - 5 alpha mu b sv2 - sqrt(1 - 10 alpha mu b sv2)) / (5 alpha mu b),
 
-with b = trace(M R M^+). The minus root is the physical one (it vanishes with
-the noise). It is accurate for alpha sigma_e^2 << 1; the transient recursion
-never uses it.
+with b = trace(M R M^+), and msd(inf) = emse(inf) (L - K) / b, L - K being
+trace(M M^+) = rank(M). Both factors hold in closed form for every positive
+definite R: with U an orthonormal basis of range(P) (P = U U^T), M = U A U^T
+with A = U^T R U invertible, so M^+ = U A^-1 U^T and
+
+    M R M^+ = U A (U^T R U) A^-1 U^T = U A U^T = M,
+    b = trace(M) = trace(P R P) = trace(R P),    trace(M M^+) = trace(P) = L - K.
+
+The minus root is the physical one (it vanishes with the noise). It is
+accurate for alpha sigma_e^2 << 1; the transient recursion never uses it.
 """
 
 from __future__ import annotations
@@ -102,11 +109,10 @@ class GaussianErrorModel:
 
 @dataclass(eq=False)
 class TheoryTrace:
-    """Predicted transient curves; weight_correlation is the final Phi."""
+    """Predicted transient curves."""
 
     msd: np.ndarray  # E||wt(n)||^2, n = 0..N
     emse: np.ndarray  # E||wt(n)||^2_R, n = 0..N
-    weight_correlation: np.ndarray  # Phi(N), L x L
     # first iteration whose msd or emse was non-finite; None if none was
     diverged_at: int | None = None
 
@@ -118,8 +124,6 @@ class SteadyStatePrediction:
     emse: float
     msd: float
     beta_factor: float
-    hG_ss: float
-    hU_ss: float
     discriminant: float
     valid: bool
 
@@ -213,9 +217,9 @@ def transient_sweep(
     # silence that arithmetic, the readout records where it began
     with np.errstate(over="ignore", invalid="ignore"):
         if r is not None:
-            curves, phis = _white_rows(r, cs, dev, params.alpha, scenario.sigma_v2, mus, N)
+            curves = _white_rows(r, cs, dev, params.alpha, scenario.sigma_v2, mus, N)
         else:
-            curves, phis = _eigen_rows(R, cs.P, dev, params.alpha, scenario.sigma_v2, mus, N)
+            curves = _eigen_rows(R, cs.P, dev, params.alpha, scenario.sigma_v2, mus, N)
         # [n, b]: row b has diverged at or before iteration n
         bad = np.logical_or.accumulate(~np.isfinite(curves).all(axis=2))
         curves[bad] = np.nan
@@ -223,20 +227,18 @@ def transient_sweep(
             TheoryTrace(
                 msd=curves[:, b, 1].copy(),
                 emse=curves[:, b, 0].copy(),
-                weight_correlation=0.5 * (phi + phi.T),
                 diverged_at=int(np.argmax(bad[:, b])) if bad[-1, b] else None,
             )
-            for b, phi in enumerate(phis)
+            for b in range(len(mus))
         ]
 
 
 def _white_rows(r, cs, dev, alpha, sv2, mus, N):
-    """Curves [n, b] = (emse, msd) and final Phi per row for R = r I, where
-    Phi(n) = a_n dev dev^T + c_n P: two scalars per row, no L x L state."""
+    """Curves [n, b] = (emse, msd) for R = r I, where Phi(n) = a_n dev dev^T
+    + c_n P: two scalars per row, no L x L state."""
     xx = float(dev @ dev)
     rank = float(cs.C.shape[0] - cs.C.shape[1])  # trace(P) = L - K
     curves = np.empty((N + 1, len(mus), 2))
-    phis = []
     for b, mu in enumerate(mus):
         shrink, drive = 2.0 * mu * r, mu * mu * r
         a, c = 1.0, 0.0
@@ -255,13 +257,12 @@ def _white_rows(r, cs, dev, alpha, sv2, mus, N):
             a *= decay
             c = c * decay + drive * hu * se2
         curves[:, b] = np.frombuffer(readouts).reshape(N + 1, 2)
-        phis.append(a * np.outer(dev, dev) + c * cs.P)
-    return curves, phis
+    return curves
 
 
 def _eigen_rows(R, P, dev, alpha, sv2, mus, N):
-    """Curves [n, b] = (emse, msd) and final Phi per row, stepped
-    elementwise in the eigenbasis of M = P R P."""
+    """Curves [n, b] = (emse, msd), stepped elementwise in the eigenbasis of
+    M = P R P."""
     lam, Q = np.linalg.eigh(P @ R @ P)
     x0 = Q.T @ dev
     L, B = len(lam), len(mus)
@@ -289,7 +290,7 @@ def _eigen_rows(R, P, dev, alpha, sv2, mus, N):
         np.subtract(1.0, np.multiply(gain, lam_sum, out=decay), out=decay)
         psi *= decay
         psi += np.multiply(drive, lam_diag, out=forced)
-    return curves.reshape(N + 1, B, 2), [Q @ psi[b].reshape(L, L) @ Q.T for b in range(B)]
+    return curves.reshape(N + 1, B, 2)
 
 
 def steady_state_emse(
@@ -297,25 +298,19 @@ def steady_state_emse(
 ) -> SteadyStatePrediction:
     """Closed-form steady-state excess MSE and MSD.
 
-    beta_factor = vec(M)^T kron(M, I)^+ vec(R) = trace(M R M^+), M = P R P:
-    the factored pseudo-inverse acts only on the deviation subspace
-    range(P) where the weight error lives. For white input R = r I it is
-    exactly beta = r (L - K), K the number of constraints (M = r P, so
-    M R M^+ = r P), and no pseudo-inverse is formed; the MSD's counterpart
-    trace(M M^+) = rank(P R P) is L - K for either. A negative
-    discriminant (step size too large for the asymptotic model) is
-    reported via valid=False with NaN predictions.
+    beta_factor = vec(M)^T kron(M, I)^+ vec(R) = trace(M R M^+), M = P R P,
+    which equals trace(R P) for every positive definite R (module
+    docstring); its MSD counterpart trace(M M^+) is L - K, K the number of
+    constraints. Neither needs a factorisation. For white input R = r I,
+    beta is taken as r (L - K), exact where P's diagonal carries rounding
+    (the dc-gain projector). A negative discriminant (step size too large
+    for the asymptotic model) is reported via valid=False with NaN
+    predictions.
     """
     R = scenario.R
     r = white_input_power(R)
-    if r is not None:
-        beta_msd = float(cs.C.shape[0] - cs.C.shape[1])
-        beta = r * beta_msd
-    else:
-        M = cs.P @ R @ cs.P
-        Mp = np.linalg.pinv(M, hermitian=True)
-        beta = float(np.trace(M @ R @ Mp))
-        beta_msd = float(np.trace(M @ Mp))
+    rank = float(cs.C.shape[0] - cs.C.shape[1])  # trace(M M^+) = L - K
+    beta = r * rank if r is not None else float(np.trace(R @ cs.P))
 
     mu, alpha = params.mu, params.alpha
     sv2 = scenario.sigma_v2
@@ -323,8 +318,7 @@ def steady_state_emse(
     if disc < 0.0:
         nan = float("nan")
         return SteadyStatePrediction(
-            emse=nan, msd=nan, beta_factor=beta, hG_ss=nan, hU_ss=nan,
-            discriminant=disc, valid=False,
+            emse=nan, msd=nan, beta_factor=beta, discriminant=disc, valid=False,
         )
 
     # minus root, in the cancellation-free form
@@ -333,11 +327,8 @@ def steady_state_emse(
     b = 5.0 * alpha * mu * beta * sv2
     zeta = (5.0 * alpha * mu * beta * sv2 * sv2) / (1.0 - b + np.sqrt(disc))
     se2 = zeta + sv2
-    hg_ss = 3.0 * alpha * se2
-    hu_ss = 15.0 * alpha**2 * se2**3
-    xi = 0.5 * mu * 5.0 * alpha * se2 * se2 * beta_msd
+    xi = 0.5 * mu * 5.0 * alpha * se2 * se2 * rank
     return SteadyStatePrediction(
         emse=float(zeta), msd=float(xi), beta_factor=beta,
-        hG_ss=float(hg_ss), hU_ss=float(hu_ss),
         discriminant=float(disc), valid=True,
     )

@@ -211,6 +211,8 @@ OUTCOMES = {
     "predict-unconstrained": (["predict", "--config", "{cfg}", "--out-dir", "{out}"],
                               CUSTOM + "algorithms = lms\n\n[scenario]\nconstraint = none\n",
                               cli.EXIT_CONFIG, "config error: predict requires a constrained scenario"),
+    "predict-not-clmls": (["predict", "--config", "{cfg}", "--out-dir", "{out}"], CUSTOM + "algorithms = clms\n",
+                          cli.EXIT_CONFIG, "config error: [experiment] algorithms = clms: predict models clmls only"),
     "predict-diverges": (["predict", "--config", "{cfg}", "--out-dir", "{out}"], CUSTOM + "\n[params]\nmu = 1000\n",
                          cli.EXIT_DIVERGED, "predict failed: theory recursion diverged at iteration 47"),
     "predict-out-dir-is-a-file": (["predict", "--config", "{cfg}", "--out-dir", "{file}"], CUSTOM,
@@ -618,7 +620,10 @@ def test_children_are_killed_and_reaped_when_this_process_is_interrupted(monkeyp
         os.waitpid(-1, os.WNOHANG)
 
 
-FACTORISATIONS = ("svd", "solve", "pinv", "eigh", "eigvalsh", "inv", "lstsq")
+FACTORISATIONS = (
+    "svd", "solve", "pinv", "eigh", "eigvalsh", "inv", "lstsq",
+    "cholesky", "qr", "eig", "eigvals", "det", "slogdet", "matrix_rank",
+)
 
 
 def record_factorisations(monkeypatch, fail: bool) -> list[str]:
@@ -652,8 +657,8 @@ def test_white_linear_phase_commands_factorise_nothing(tmp_path, capsys, monkeyp
     [
         ("input = white\nconstraint = linear-phase\n", set()),
         ("input = white\nconstraint = dc-gain\n", {"svd"}),
-        ("input = ar1\nconstraint = linear-phase\n", {"solve", "eigh", "pinv"}),
-        ("input = ar1\nconstraint = dc-gain\n", {"svd", "solve", "eigh", "pinv"}),
+        ("input = ar1\nconstraint = linear-phase\n", {"solve", "eigh"}),
+        ("input = ar1\nconstraint = dc-gain\n", {"svd", "solve", "eigh"}),
     ],
 )
 def test_only_a_general_constraint_or_correlated_input_factorises(tmp_path, capsys, monkeypatch, scenario, factorisations):
