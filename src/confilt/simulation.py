@@ -10,12 +10,16 @@ the engine steps all rows of a pass at once as a (trials, step sizes, L)
 weight array, in blocks of `_BLOCK` steps. The weights of a block go to a
 ring of `_BLOCK` + 1 rows, and at the end of each block the rows' deviation
 curves, divergence, fallback counts and residual checks for its steps are
-computed from the ring, so a pass holds its curves, each trial's input
-stream and desired signal, and one block of weights and inputs, whatever
-the horizon. Trial k draws its signals once, from its own generator seeded
-base_seed + k, and every step size of a sweep reuses that draw (common
-random numbers). A row whose error turns non-finite has diverged: it is
-dropped from the averages and counted.
+computed from the ring. The block's curves then go to a consumer, which in
+a sweep adds them to the ensemble sums, so a pass holds each trial's input
+stream and desired signal and one block of weights, inputs and curves,
+whatever the horizon. Trial k draws its signals once, from its own
+generator seeded base_seed + k, and every step size of a sweep reuses that
+draw (common random numbers). A row whose error turns non-finite has
+diverged: it is dropped from the averages and counted. Where it diverges
+after its first block, the blocks before were already added; the sweep
+then restores that step size's sums and re-runs its other rows of the pass
+(`run_step_size_sweep`).
 
 Each row performs the floating-point operations of the per-sample step
 functions in `kernels`, which stay as the reference, in the same order.
@@ -315,12 +319,17 @@ def _resolve_references(
     return optima, seg_params, list(model.w_sys.boundaries)
 
 
-# Bytes of inputs, curves and block buffers one engine pass may hold; larger
-# ensembles run as several passes over consecutive trials.
-_PASS_BYTES = 1 << 26
+# Bytes of inputs and block buffers one engine pass may hold; larger
+# ensembles run as several passes over consecutive trials. Each pass pays
+# the step loop's per-step interpreter overhead again (about 0.35 s per pass
+# of exp3 at its defaults), so this is the smallest of the budgets measured
+# (16 to 64 MB) at which neither exp2-mu nor exp3 at its defaults ran
+# slower; each then runs its 500 trials per sweep in 3 passes.
+_PASS_BYTES = 40 << 20
 
 # Steps per block: enough to spread each block's reductions over many steps,
-# few enough that a pass's weight ring stays small next to its curves.
+# few enough that a pass's weight ring and block curves stay small next to
+# its input streams.
 _BLOCK = 256
 
 # Constrained runs check the constraint residual after every step whose
@@ -347,11 +356,12 @@ def _log_kernel_rows(e: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Rows:
-    """Outcomes of one engine pass, indexed [trial, step size]."""
+    """Outcomes of one engine pass, indexed [trial, step size]. The curves
+    are not kept: each block's went to the pass's consumer."""
 
-    msd_ratio: np.ndarray  # (trials, mus, horizon); zero on diverged rows
-    ea2: np.ndarray  # same layout
     diverged_at: np.ndarray  # first non-finite error; -1 if the row completed
+    # diverged after the consumer was given its curves of the first block
+    late: np.ndarray
     fallback_steps: np.ndarray
     max_residual: np.ndarray
 
@@ -364,8 +374,14 @@ def _run_rows(
     mus: np.ndarray,
     seeds,
     horizon: int,
+    consume,
 ) -> _Rows:
-    """Step every (seed, mu) row through `horizon` samples at once."""
+    """Step every (seed, mu) row through `horizon` samples at once.
+
+    After each block of steps b, ..., b + k - 1, consume(b, msd_ratio, ea2)
+    gets the block's curves as (trials, mus, k) views, valid until it
+    returns; the rows that have diverged by the block's end are zero.
+    """
     spec = ALGORITHMS[algorithm]
     optima, seg_params, starts = _resolve_references(model, cs, spec, params)
     L, T, n_mu = model.n_taps, len(seeds), len(mus)
@@ -386,14 +402,12 @@ def _run_rows(
     norms = np.array([float(w @ w) for w in optima])
     alpha, beta = params.alpha, params.beta_slope
 
-    msd_ratio = np.empty((T, n_mu, horizon))
-    ea2 = np.empty((T, n_mu, horizon))
     diverged_at = np.full((T, n_mu), -1)
     fallback_steps = np.zeros((T, n_mu), dtype=int)
     max_residual = np.zeros((T, n_mu))
 
     # one block of steps b, ..., b + K - 1: ring[i] = w(b + i), and the
-    # block's inputs, errors and fallback flags
+    # block's inputs, errors, fallback flags and curves
     K = min(_BLOCK, horizon)
     ring = np.empty((K + 1, T, n_mu, L))
     ring[0] = w0
@@ -401,6 +415,8 @@ def _run_rows(
     errors = np.empty((K, T, n_mu))
     degenerate = np.zeros(errors.shape, dtype=bool)  # P s vanished at step b + i
     dots = np.empty((K, T, n_mu, 1, 1))
+    msd_ratio = np.empty((T, n_mu, K))
+    ea2 = np.empty((T, n_mu, K))
 
     # views taken once per pass, indexed [i] in the loop
     w_rows = ring[..., None, :]  # (T, mus, 1, L): w(n) as row vectors
@@ -436,9 +452,11 @@ def _run_rows(
         fallback = degenerate[..., None]
 
     # a row whose error turns non-finite has diverged: it keeps running on
-    # inf/nan, and its curves are zeroed at the end
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for b in range(0, horizon, K):
+    # inf/nan, and its curves are zero from the block of its divergence on.
+    # Only the steps, checks and curves run with floating-point warnings
+    # off, so the consumer's arithmetic on a runaway row still warns
+    for b in range(0, horizon, K):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             k = min(K, horizon - b)
             np.copyto(U[:k], taps[:, b:b + k].swapaxes(0, 1))
             for i in range(k):
@@ -509,20 +527,45 @@ def _run_rows(
             seg = seg_of[b:b + k]
             dev = np.subtract(optima_rows[seg][:, None, None, :], ring[:k], out=ring[:k])
             sq = np.matmul(dev[..., None, :], dev[..., None], out=dots[:k])[..., 0, 0]
-            np.divide(sq, norms[seg][:, None, None], out=np.moveaxis(msd_ratio[..., b:b + k], -1, 0))
+            np.divide(sq, norms[seg][:, None, None], out=np.moveaxis(msd_ratio[..., :k], -1, 0))
             ea = np.matmul(dev[..., None, :], u_cols[:k], out=dots[:k])[..., 0, 0]
-            np.multiply(ea, ea, out=np.moveaxis(ea2[..., b:b + k], -1, 0))
+            np.multiply(ea, ea, out=np.moveaxis(ea2[..., :k], -1, 0))
             ring[0] = ring[k]
 
-    msd_ratio[diverged_at >= 0] = 0.0
-    ea2[diverged_at >= 0] = 0.0
+        msd_ratio[diverged_at >= 0] = 0.0
+        ea2[diverged_at >= 0] = 0.0
+        if b == 0:
+            handed = diverged_at < 0  # rows whose curves `consume` is given
+        consume(b, msd_ratio[..., :k], ea2[..., :k])
+
     return _Rows(
-        msd_ratio=msd_ratio,
-        ea2=ea2,
         diverged_at=diverged_at,
+        late=handed & (diverged_at >= 0),
         fallback_steps=fallback_steps,
         max_residual=max_residual,
     )
+
+
+def _trial_bytes(L: int, n_mu: int, horizon: int) -> int:
+    """Bytes a trial adds to an engine pass: its input stream and d, and its
+    rows of the block buffers (weight ring, inputs, errors, the curves' dot
+    products and the two block curves)."""
+    K = min(_BLOCK, horizon)
+    return 8 * (2 * horizon + L + (K + 1) * (n_mu * L + L + 4 * n_mu))
+
+
+def _adder(sums: np.ndarray):
+    """A `_run_rows` consumer that adds each row's curves of a block, trial by
+    trial, to sums = (ratio, ratio^2, e_a^2) sums of shape (3, mus, horizon)."""
+
+    def consume(b: int, msd_ratio: np.ndarray, ea2: np.ndarray) -> None:
+        s_ratio, s_sq, s_ea2 = sums[..., b:b + msd_ratio.shape[-1]]
+        for ratio, ea in zip(msd_ratio, ea2):
+            np.add(s_ratio, ratio, out=s_ratio)
+            np.add(s_sq, ratio * ratio, out=s_sq)
+            np.add(s_ea2, ea, out=s_ea2)
+
+    return consume
 
 
 def run_step_size_sweep(
@@ -542,6 +585,15 @@ def run_step_size_sweep(
     trials are dropped from the averages and counted; if every trial diverges
     at some step size, EnsembleDivergedError names the first and carries all
     results. Each result is bit-identical to a run of that step size alone.
+
+    Each pass adds its rows' curves, block by block and in trial order, to
+    three ensemble sums (ratio, ratio^2 and e_a^2), leaving out a row from
+    the block in which it diverges. A row that diverges after its first
+    block has had earlier blocks added, so at the end of the pass the sums
+    of its step size go back to their values at the start of the pass, and
+    that step size's rows of the pass that completed run again on their
+    own: rows are independent of each other, so they complete again, and
+    the sums take exactly the additions of the completed rows.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -557,35 +609,33 @@ def run_step_size_sweep(
         raise ValueError("need at least one step size")
     n_mu = len(mu_rows)
 
-    sum_ratio = np.zeros((n_mu, horizon))
-    sum_ratio_sq = np.zeros((n_mu, horizon))
-    sum_ea2 = np.zeros((n_mu, horizon))
+    sums = np.zeros((3, n_mu, horizon))  # of ratio, ratio^2 and e_a^2
     completed = np.zeros(n_mu, dtype=int)
     diverged_at: list[list[int]] = [[] for _ in range(n_mu)]
     fallback_steps = np.zeros(n_mu, dtype=int)
     max_residual = np.zeros(n_mu)
 
-    # a trial's input stream, d and two curves, plus its rows of the block
-    # buffers: weight ring, inputs, errors and the curves' dot products
-    L, K = model.n_taps, min(_BLOCK, horizon)
-    per_trial = 8 * (2 * horizon + L + 2 * n_mu * horizon + (K + 1) * (n_mu * L + L + 2 * n_mu))
-    per_pass = max(1, _PASS_BYTES // per_trial)
+    per_pass = max(1, _PASS_BYTES // _trial_bytes(model.n_taps, n_mu, horizon))
     for first in range(base_seed, base_seed + trials, per_pass):
         seeds = range(first, min(first + per_pass, base_seed + trials))
-        rows = _run_rows(model, cs, algorithm, params, mu_rows, seeds, horizon)
-        # diverged rows are zero, so every trial can be added in trial order
-        for ratio, ea2 in zip(rows.msd_ratio, rows.ea2):
-            np.add(sum_ratio, ratio, out=sum_ratio)
-            np.add(sum_ratio_sq, ratio * ratio, out=sum_ratio_sq)
-            np.add(sum_ea2, ea2, out=sum_ea2)
+        at_start = sums.copy() if first > base_seed else None
+        rows = _run_rows(model, cs, algorithm, params, mu_rows, seeds, horizon, _adder(sums))
+        # step sizes with rows that diverged after their first block: restore
+        # the pass-start sums and add the pass's completed rows again
+        for j in np.flatnonzero(rows.late.any(axis=0)):
+            sums[:, j] = 0.0 if at_start is None else at_start[:, j]
+            kept = [seed for seed, n in zip(seeds, rows.diverged_at[:, j]) if n < 0]
+            if kept:
+                _run_rows(model, cs, algorithm, params, mu_rows[j:j + 1], kept, horizon, _adder(sums[:, j:j + 1]))
         completed += np.sum(rows.diverged_at < 0, axis=0)
         for j in range(n_mu):
             diverged_at[j] += [int(n) for n in rows.diverged_at[:, j] if n >= 0]
         fallback_steps += np.sum(rows.fallback_steps, axis=0)
         max_residual = np.maximum(max_residual, np.max(rows.max_residual, axis=0))
-        del rows, ratio, ea2  # free the curves before the next pass allocates its own
+        del at_start  # the next pass makes its own copy
 
     results: list[RunResult | None] = [None] * n_mu  # None: every trial diverged
+    sum_ratio, sum_ratio_sq, sum_ea2 = sums
     for j in np.flatnonzero(completed):
         done = int(completed[j])
         mean_ratio = sum_ratio[j] / done

@@ -1,5 +1,6 @@
 """The row engine against the per-sample step functions, bit for bit."""
 
+import functools
 import subprocess
 import sys
 import tracemalloc
@@ -81,6 +82,20 @@ def reference_trial(model, cs, algorithm, params, horizon, seed, every=100):
     return msd_ratio, ea2, fallback_steps, max_residual, None
 
 
+def collect_rows(model, cs, algorithm, params, mus, seeds, horizon):
+    """`_run_rows` with a consumer that keeps every block: (rows, msd_ratio,
+    ea2), the curves (trials, mus, horizon) and zero on diverged rows."""
+    shape = (len(seeds), len(mus), horizon)
+    msd_ratio, ea2 = np.full(shape, np.nan), np.full(shape, np.nan)
+
+    def keep(b, ratio_block, ea2_block):
+        msd_ratio[..., b:b + ratio_block.shape[-1]] = ratio_block
+        ea2[..., b:b + ea2_block.shape[-1]] = ea2_block
+
+    rows = _run_rows(model, cs, algorithm, params, np.array(mus), seeds, horizon, keep)
+    return rows, msd_ratio, ea2
+
+
 def exp1_scenario(sigma_v2=0.01, L=10, seed=42):
     cs = linear_phase_constraints(L)
     return white_signal_model(sigma_v2, linear_phase_system(L, np.random.default_rng(seed))), cs
@@ -134,7 +149,7 @@ def test_rows_match_per_sample_oracle(scenario, algorithm, monkeypatch):
     model, cs = make()
     params = AlgorithmParams(mu=mu)
     monkeypatch.setattr(simulation, "_RESIDUAL_CHECK_EVERY", every)
-    rows = _run_rows(model, cs, algorithm, params, np.array([mu]), range(seed, seed + trials), horizon)
+    rows, msd_ratio, ea2s = collect_rows(model, cs, algorithm, params, [mu], range(seed, seed + trials), horizon)
     refs = [
         reference_trial(model, cs, algorithm, params, horizon, seed + k, every)
         for k in range(trials)
@@ -144,8 +159,8 @@ def test_rows_match_per_sample_oracle(scenario, algorithm, monkeypatch):
         assert rows.max_residual[k, 0] == max_residual
         if diverged_at is None:
             assert rows.diverged_at[k, 0] == -1
-            assert np.array_equal(rows.msd_ratio[k, 0], ratio)
-            assert np.array_equal(rows.ea2[k, 0], ea2)
+            assert np.array_equal(msd_ratio[k, 0], ratio)
+            assert np.array_equal(ea2s[k, 0], ea2)
         else:
             assert rows.diverged_at[k, 0] == diverged_at
 
@@ -175,9 +190,9 @@ def test_row_independent_of_batch(algorithm):
     k, base, horizon = 2, 40, 600
 
     def row(mus, seeds, j):
-        rows = _run_rows(model, cs, algorithm, params, np.array(mus), seeds, horizon)
+        rows, msd_ratio, ea2 = collect_rows(model, cs, algorithm, params, mus, seeds, horizon)
         i = list(seeds).index(base + k)
-        return rows.msd_ratio[i, j], rows.ea2[i, j], rows.fallback_steps[i, j], rows.max_residual[i, j]
+        return msd_ratio[i, j], ea2[i, j], rows.fallback_steps[i, j], rows.max_residual[i, j]
 
     alone = row([0.05], [base + k], 0)
     for other in (row([0.05], range(base, base + 6), 0), row([0.02, 0.05, 0.1], range(base, base + 6), 1)):
@@ -211,24 +226,117 @@ def test_sweep_equals_single_runs_and_pass_size(monkeypatch):
             assert (a.diverged_at, a.fallback_steps, a.max_residual) == (b.diverged_at, b.fallback_steps, b.max_residual)
 
 
-def test_sweep_peak_memory_bound():
-    # exp2-mu-L10: 4 trials, 3 step sizes, 5000 steps, L = 10. What the
-    # sweep must hold: the two per-trial curves, 2 * 4 * 3 * 5000 * 8 B =
-    # 0.96 MB, and the three ensemble sums, 3 * 3 * 5000 * 8 B = 0.36 MB.
-    # Per block it holds the weight ring and inputs, (K + 1) * 4 * (3 + 1)
-    # * 10 * 8 B = 0.33 MB at K = 256; on top of that the bound allows the
-    # trials' input streams and d (0.32 MB), one trial's signal draw (U
-    # alone is 0.4 MB) and numpy temporaries: 2 MB in all. Keeping the
-    # (horizon + 1) * 4 * 3 * 10 weight history alone would take 4.8 MB.
+@functools.lru_cache(maxsize=None)
+def oracle_rows(scenario, algorithm, mu):
+    """`reference_trial` of each trial of a scenario at step size mu."""
+    make, _, trials, horizon, seed, _ = SCENARIOS[scenario]
+    model, cs = make()
+    return [reference_trial(model, cs, algorithm, AlgorithmParams(mu=mu), horizon, seed + k) for k in range(trials)]
+
+
+# the engine's block size, and one block holding the whole horizon
+@pytest.mark.parametrize("block", [K, 2048])
+@pytest.mark.parametrize("per_pass", [1, 2, None])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("scenario", ["diverging", "diverging-late"])
+def test_late_divergence_restores_and_reruns(scenario, algorithm, per_pass, block, monkeypatch):
+    # rows that diverge after their first block were added before they
+    # diverged: the sums must still be the trial-order sums of the rows
+    # that completed, restored from the pass-start copy on later passes
+    make, mu, trials, horizon, seed, _ = SCENARIOS[scenario]
+    model, cs = make()
+    mus = [0.05, mu]
+    refs = list(zip(*(oracle_rows(scenario, algorithm, m) for m in mus)))  # [trial][step size]
+    per_pass = per_pass or trials
+    monkeypatch.setattr(simulation, "_BLOCK", block)
+    monkeypatch.setattr(simulation, "_PASS_BYTES", per_pass * simulation._trial_bytes(model.n_taps, len(mus), horizon))
+    calls, sums = [], []
+    run_rows, adder = simulation._run_rows, simulation._adder
+
+    def spy_run_rows(model, cs, algorithm, params, mus, seeds, *rest):
+        calls.append((list(mus), list(seeds)))
+        return run_rows(model, cs, algorithm, params, mus, seeds, *rest)
+
+    def spy_adder(s):
+        sums.append(s)
+        return adder(s)
+
+    monkeypatch.setattr(simulation, "_run_rows", spy_run_rows)
+    monkeypatch.setattr(simulation, "_adder", spy_adder)
+    try:
+        run_step_size_sweep(model, algorithm, AlgorithmParams(mu=0.05), mus, trials, horizon, seed, cs=cs)
+    except EnsembleDivergedError:
+        pass
+
+    # one run per pass, and one more for each step size with a row found
+    # diverged after the first block beside rows that completed; the
+    # re-run leaves out the rows known to diverge
+    first_block = min(block, horizon)
+    expected = []
+    for first in range(0, trials, per_pass):
+        chunk = refs[first:first + per_pass]
+        expected.append((mus, [seed + k for k in range(first, first + len(chunk))]))
+        for j, m in enumerate(mus):
+            late = [r[j][4] is not None and min(r[j][4], horizon - 1) >= first_block for r in chunk]
+            kept = [seed + first + i for i, r in enumerate(chunk) if r[j][4] is None]
+            if any(late) and kept:
+                expected.append(([m], kept))
+    assert calls == expected
+
+    want = np.zeros((3, len(mus), horizon))
+    for j in range(len(mus)):
+        for ratio, ea2, *_ in (r[j] for r in refs if r[j][4] is None):
+            want[0, j] += ratio
+            want[1, j] += ratio * ratio
+            want[2, j] += ea2
+    assert np.array_equal(sums[0], want)
+
+
+def test_late_divergence_cases_cover_every_branch():
+    # the cases above meet each branch. clmls in "diverging": rows found
+    # diverged after the first block beside completed rows (a re-run), and
+    # with one block, the same rows found in the first block (none). lms in
+    # "diverging-late": every row diverges after the first block (none).
+    # mu = 0.05 never diverges.
+    at = [r[4] for r in oracle_rows("diverging", "clmls", 1.0)]
+    assert None in at and all(n is None or K <= n < 2048 for n in at), at
+    at = [r[4] for r in oracle_rows("diverging-late", "lms", 1.0)]
+    assert None not in at and min(at) >= K, at
+
+
+def traced_sweep_peak(trials):
+    """tracemalloc's peak over the exp2-mu-L10 sweep (3 step sizes, 5000
+    steps, L = 10) at `trials`, and the bound on it.
+
+    The sweep holds the three ensemble sums, 3 * 3 * 5000 * 8 B = 0.36 MB,
+    and per trial its input stream and d and its rows of the block buffers,
+    whose size `_trial_bytes` states (0.19 MB per trial at K = 256). The
+    bound allows 1.2 MB on top: one trial's signal draw (its tap matrix U,
+    0.4 MB, with stream, noise and d, 0.16 MB) and numpy temporaries. It
+    has no trials * mus * horizon term.
+    """
     model, cs = exp1_scenario()
-    allowance = 2e6
-    bound = 2 * 4 * 3 * 5000 * 8 + 3 * 3 * 5000 * 8 + allowance
+    bound = 3 * 3 * 5000 * 8 + trials * simulation._trial_bytes(10, 3, 5000) + 1.2e6
     tracemalloc.start()
     try:
-        run_step_size_sweep(model, "clmls", AlgorithmParams(mu=0.05), [0.03, 0.05, 0.1], 4, 5000, 101, cs=cs)
+        run_step_size_sweep(model, "clmls", AlgorithmParams(mu=0.05), [0.03, 0.05, 0.1], trials, 5000, 101, cs=cs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, bound
+
+
+def test_sweep_peak_memory_bound():
+    # exp2-mu-L10's 4 trials; keeping the (horizon + 1) * 4 * 3 * 10 weight
+    # history alone would take 4.8 MB
+    peak, bound = traced_sweep_peak(4)
+    assert peak < bound, f"traced peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+
+def test_sweep_holds_no_curves():
+    # at 32 trials each row's two curves, 2 * 32 * 3 * 5000 * 8 B = 7.7 MB,
+    # are more than the bound allows beyond the sums and pass buffers
+    peak, bound = traced_sweep_peak(32)
     assert peak < bound, f"traced peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
