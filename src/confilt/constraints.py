@@ -58,7 +58,7 @@ class ConstraintSet:
     def residual(self, w: np.ndarray) -> np.ndarray | float:
         """Max-norm feasibility residual ||C^T w - z||_inf of each weight
         vector along the last axis of `w` (a float for a single vector)."""
-        return np.max(np.abs((self.C.T @ w[..., None])[..., 0] - self.z), axis=-1)
+        return np.max(np.abs(np.matvec(self.C.T, w) - self.z), axis=-1)
 
     def project(self, w: np.ndarray) -> np.ndarray:
         """Feasibility map w -> P w + f (identity on feasible points)."""

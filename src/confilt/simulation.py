@@ -23,22 +23,21 @@ then restores that step size's sums and re-runs its other rows of the pass
 
 Each row performs the floating-point operations of the per-sample step
 functions in `kernels`, which stay as the reference, in the same order.
-That needs row-independent kernels: dot products and projections are
-stacked matmuls (``W[..., None, :] @ u[..., None]``, ``P @ X[..., None]``),
-which numpy evaluates slice by slice with the same BLAS call as the
-per-sample ``w @ u`` and ``P @ w``, whereas one matrix product over all rows
-(``W @ P.T``) blocks its sums differently and makes a row depend on its
-neighbours. A row is therefore bit-identical to the per-sample loop
-whatever else shares its pass or block, and ensembles are reduced in trial
-order, so results are reproducible bit for bit for a given
-(config, base_seed).
+That needs row-independent kernels: dot products are ``np.vecdot`` and
+projections ``np.matvec``, numpy's per-row gufuncs, which make for each row
+the same BLAS call as the per-sample ``w @ u`` and ``P @ w``, whereas one
+matrix product over all rows (``W @ P.T``) blocks its sums differently and
+makes a row depend on its neighbours. A row is therefore bit-identical to
+the per-sample loop whatever else shares its pass or block, and ensembles
+are reduced in trial order, so results are reproducible bit for bit for a
+given (config, base_seed).
 
-The step loop takes its views of the ring, the block's inputs and the
-desired signal once per pass, and every step writes its temporaries (w . u,
-mu g(e), the sparse direction and budget terms, w + mu g(e) u and its
-projection) into buffers reused from step to step. Each buffer has the
-layout of the temporary it replaces, so numpy makes the same calls and the
-rows keep their bits.
+Every step writes its results (the error, mu g(e), the sparse direction
+and budget terms, w + mu g(e) u, and the next weights, projected straight
+into the ring) into buffers reused from step to step. A trial's input and
+desired signal carry a step-size axis of length one, and a per-row scalar
+that scales the row's vectors a tap axis of length one, so that each
+broadcasts over the rows and taps it meets.
 """
 
 from __future__ import annotations
@@ -327,9 +326,14 @@ def _resolve_references(
 # slower; each then runs its 500 trials per sweep in 3 passes.
 _PASS_BYTES = 40 << 20
 
-# Steps per block: enough to spread each block's reductions over many steps,
-# few enough that a pass's weight ring and block curves stay small next to
-# its input streams.
+# Steps per block. The block-end work (divergence, fallback and residual
+# bookkeeping, the two curves, the consumer's trial-by-trial sums) runs once
+# per block, so a longer block spreads its per-call overhead over more
+# steps; but a trial's block buffers (weight ring, inputs, errors, curves)
+# grow with it and, through `_trial_bytes`, cut the trials a pass holds.
+# At 256 they already outweigh a trial's input stream and d: 107 against
+# 80 KB at exp2-mu's defaults (L = 10, 3 step sizes, horizon 5000), 132
+# against 96 KB at exp3's (L = 30, 1 step size, horizon 6000).
 _BLOCK = 256
 
 # Constrained runs check the constraint residual after every step whose
@@ -385,11 +389,12 @@ def _run_rows(
     spec = ALGORITHMS[algorithm]
     optima, seg_params, starts = _resolve_references(model, cs, spec, params)
     L, T, n_mu = model.n_taps, len(seeds), len(mus)
-    # each trial's input stream after L - 1 zeros, and its desired signal
+    # each trial's input stream after L - 1 zeros, and its desired signal,
+    # which broadcasts over the step sizes
     X = np.zeros((T, L - 1 + horizon))
-    D = np.empty((horizon, T))
+    D = np.empty((horizon, T, 1))
     for t, seed in enumerate(seeds):
-        inputs, D[:, t] = generate_signals(model, horizon, np.random.default_rng(seed))
+        inputs, D[:, t, 0] = generate_signals(model, horizon, np.random.default_rng(seed))
         X[t, L - 1:] = inputs[:, 0]
     taps = np.lib.stride_tricks.sliding_window_view(X, L, axis=1)[..., ::-1]  # [t, n] = u(n)
 
@@ -407,49 +412,34 @@ def _run_rows(
     max_residual = np.zeros((T, n_mu))
 
     # one block of steps b, ..., b + K - 1: ring[i] = w(b + i), and the
-    # block's inputs, errors, fallback flags and curves
+    # block's inputs (broadcast over the step sizes), errors, fallback flags
+    # and curves
     K = min(_BLOCK, horizon)
     ring = np.empty((K + 1, T, n_mu, L))
     ring[0] = w0
-    U = np.empty((K, T, L))
+    U = np.empty((K, T, 1, L))
     errors = np.empty((K, T, n_mu))
-    degenerate = np.zeros(errors.shape, dtype=bool)  # P s vanished at step b + i
-    dots = np.empty((K, T, n_mu, 1, 1))
+    degenerate = np.zeros((K, T, n_mu, 1), dtype=bool)  # P s vanished at step b + i
+    dots = np.empty(errors.shape)  # the curves' dot products, before they are stored
     msd_ratio = np.empty((T, n_mu, K))
     ea2 = np.empty((T, n_mu, K))
 
-    # views taken once per pass, indexed [i] in the loop
-    w_rows = ring[..., None, :]  # (T, mus, 1, L): w(n) as row vectors
-    w_cols = ring[..., None]  # (T, mus, L, 1)
-    u_rows = U[:, :, None, :]  # (T, 1, L)
-    u_cols = U[:, :, None, :, None]  # (T, 1, L, 1)
-    d_rows = D[..., None]  # (T, 1)
-    # buffers reused by every step, laid out like the temporaries they replace
-    wu = np.empty((T, n_mu, 1, 1))  # w(n) . u(n)
+    # buffers reused by every step; a per-row scalar that scales the row's
+    # vectors is a (T, mus, 1) column
     step = np.empty((T, n_mu, 1))  # mu g(e)
     moved = np.empty((T, n_mu, L))  # w + mu g(e) u, or w + mu g(e) P' u
-    projected = np.empty((T, n_mu, L, 1))  # P moved
-    wu_rows, step_rows = wu[..., 0, 0], step[..., 0]
-    moved_cols, projected_rows = moved[..., None], projected[..., 0]
     if spec.sparse:
         s = np.empty((T, n_mu, L))  # sign direction
         scale = np.empty((T, n_mu, L))  # beta^2 w^2 + 1, then arctan(beta |w|)
-        t_now = np.empty((T, n_mu, 1, 1))  # current (reweighted) l1 norm
-        Ps = np.empty((T, n_mu, L, 1))
-        ps2 = np.empty((T, n_mu, 1, 1))
+        t_now = np.empty((T, n_mu, 1))  # current (reweighted) l1 norm
+        Ps = np.empty((T, n_mu, L))
+        ps2 = np.empty((T, n_mu, 1))
         q = np.empty((T, n_mu, L))
-        Pu = np.empty((T, L, 1))
-        psu = np.empty((T, n_mu, 1, 1))  # (P s) . u
+        Pu = np.empty((T, 1, L))
+        psu = np.empty((T, n_mu, 1))  # (P s) . u
         p_prime_u = np.empty((T, n_mu, L))
-        e_l1 = np.empty((T, n_mu))
+        e_l1 = np.empty((T, n_mu, 1))
         f_l1 = np.empty((T, n_mu, L))
-        s_rows, s_cols = s[..., None, :], s[..., None]  # as w_rows, w_cols
-        Ps_rows = Ps[..., 0]
-        Ps_vecs = Ps_rows[..., None, :]  # (T, mus, 1, L)
-        t_now_rows, ps2_rows, psu_rows = t_now[..., 0, 0], ps2[..., 0, 0], psu[..., 0]
-        Pu_rows = Pu[:, None, :, 0]  # (T, 1, L)
-        u_taps = U[..., None]  # (T, L, 1): u(n) per trial, for P u
-        fallback = degenerate[..., None]
 
     # a row whose error turns non-finite has diverged: it keeps running on
     # inf/nan, and its curves are zero from the block of its divergence on.
@@ -458,14 +448,13 @@ def _run_rows(
     for b in range(0, horizon, K):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             k = min(K, horizon - b)
-            np.copyto(U[:k], taps[:, b:b + k].swapaxes(0, 1))
+            np.copyto(U[:k, :, 0], taps[:, b:b + k].swapaxes(0, 1))
             for i in range(k):
                 n = b + i
-                W = ring[i]
-                np.matmul(w_rows[i], u_cols[i], out=wu)
-                e = np.subtract(d_rows[n], wu_rows, out=errors[i])
+                W, u, w_next = ring[i], U[i], ring[i + 1]
+                e = np.subtract(D[n], np.vecdot(W, u, out=errors[i]), out=errors[i])
                 g = _log_kernel_rows(e, alpha) if spec.log_kernel else e
-                np.multiply(mus, g, out=step_rows)
+                np.multiply(mus, g, out=step[..., 0])
                 if spec.sparse:
                     if spec.reweighted:
                         np.sign(W, out=s)
@@ -475,33 +464,29 @@ def _run_rows(
                         np.divide(s, np.add(scale, 1.0, out=scale), out=s)
                         np.abs(W, out=scale)
                         np.arctan(np.multiply(beta, scale, out=scale), out=scale)
-                        np.sum(scale, axis=-1, out=t_now_rows)
-                        np.multiply(2.0 / math.pi, t_now_rows, out=t_now_rows)
+                        np.sum(scale, axis=-1, keepdims=True, out=t_now)
+                        np.multiply(2.0 / math.pi, t_now, out=t_now)
                     else:
                         np.sign(W, out=s)
-                        np.matmul(s_rows, w_cols[i], out=t_now)
-                    np.matmul(P, s_cols, out=Ps)
-                    np.matmul(Ps_vecs, Ps, out=ps2)
-                    np.divide(Ps_rows, ps2_rows[..., None], out=q)
-                    np.matmul(P, u_taps[i], out=Pu)
-                    np.matmul(Ps_vecs, u_cols[i], out=psu)
-                    np.subtract(Pu_rows, np.multiply(q, psu_rows, out=p_prime_u), out=p_prime_u)
-                    np.subtract(seg_params[seg_of[n]].t, t_now_rows, out=e_l1)
-                    np.multiply(e_l1[..., None], q, out=f_l1)
+                        np.vecdot(s, W, keepdims=True, out=t_now)
+                    np.matvec(P, s, out=Ps)
+                    np.divide(Ps, np.vecdot(Ps, Ps, keepdims=True, out=ps2), out=q)
+                    np.matvec(P, u, out=Pu)
+                    np.vecdot(Ps, u, keepdims=True, out=psu)
+                    np.subtract(Pu, np.multiply(q, psu, out=p_prime_u), out=p_prime_u)
+                    np.subtract(seg_params[seg_of[n]].t, t_now, out=e_l1)
+                    np.multiply(e_l1, q, out=f_l1)
                     np.add(W, np.multiply(step, p_prime_u, out=moved), out=moved)
-                    np.matmul(P, moved_cols, out=projected)
-                    np.add(np.add(projected_rows, f, out=ring[i + 1]), f_l1, out=ring[i + 1])
+                    np.add(np.add(np.matvec(P, moved, out=w_next), f, out=w_next), f_l1, out=w_next)
                     # rows whose P s vanished take the non-sparse step
-                    if np.less(ps2_rows, _DEGENERATE_PS2, out=degenerate[i]).any():
-                        np.add(W, np.multiply(step, u_rows[i], out=moved), out=moved)
-                        np.matmul(P, moved_cols, out=projected)
-                        np.copyto(ring[i + 1], np.add(projected_rows, f, out=moved), where=fallback[i])
+                    if np.less(ps2, _DEGENERATE_PS2, out=degenerate[i]).any():
+                        np.add(W, np.multiply(step, u, out=moved), out=moved)
+                        np.copyto(w_next, np.matvec(P, moved) + f, where=degenerate[i])
                 elif spec.constrained:
-                    np.add(W, np.multiply(step, u_rows[i], out=moved), out=moved)
-                    np.matmul(P, moved_cols, out=projected)
-                    np.add(projected_rows, f, out=ring[i + 1])
+                    np.add(W, np.multiply(step, u, out=moved), out=moved)
+                    np.add(np.matvec(P, moved, out=w_next), f, out=w_next)
                 else:
-                    np.add(W, np.multiply(step, u_rows[i], out=moved), out=ring[i + 1])
+                    np.add(W, np.multiply(step, u, out=moved), out=w_next)
 
             # first non-finite error; or finite errors throughout but
             # non-finite final weights
@@ -513,7 +498,7 @@ def _run_rows(
             # step n of a row counts if it completed
             completed = np.arange(b, b + k)[:, None, None] < np.where(diverged_at < 0, horizon, diverged_at)
             if spec.sparse:
-                fallback_steps += np.sum(degenerate[:k] & completed, axis=0)
+                fallback_steps += np.sum(degenerate[:k, ..., 0] & completed, axis=0)
             if spec.constrained:
                 # the residual after each step n divisible by the interval
                 checks = np.arange(-b % _RESIDUAL_CHECK_EVERY, k, _RESIDUAL_CHECK_EVERY)
@@ -526,9 +511,9 @@ def _run_rows(
             # of w(n); the next block starts from w(b + k)
             seg = seg_of[b:b + k]
             dev = np.subtract(optima_rows[seg][:, None, None, :], ring[:k], out=ring[:k])
-            sq = np.matmul(dev[..., None, :], dev[..., None], out=dots[:k])[..., 0, 0]
+            sq = np.vecdot(dev, dev, out=dots[:k])
             np.divide(sq, norms[seg][:, None, None], out=np.moveaxis(msd_ratio[..., :k], -1, 0))
-            ea = np.matmul(dev[..., None, :], u_cols[:k], out=dots[:k])[..., 0, 0]
+            ea = np.vecdot(dev, U[:k], out=dots[:k])
             np.multiply(ea, ea, out=np.moveaxis(ea2[..., :k], -1, 0))
             ring[0] = ring[k]
 

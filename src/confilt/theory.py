@@ -34,12 +34,12 @@ per sweep), where the recursion is elementwise: Psi = Q^T Phi Q follows
 with emse = <Q^T R Q, Psi> and msd = trace(Psi). The two forms agree to
 rounding on white input.
 
-In both, rows share no arithmetic (scalar loops; elementwise updates and
-one small readout product per row instead of one matrix product over all
-rows), so a row is bit-identical to its step size run alone. A diverged row
-is data, not an error: it runs on in inf/NaN (a non-finite state never
-turns finite again), and its trace records the first non-finite readout as
-diverged_at.
+In both, rows share no arithmetic (scalar loops; elementwise updates, and
+a readout by ``np.vecmat``, one small product per row, instead of one
+matrix product over all rows), so a row is bit-identical to its step size
+run alone. A diverged row is data, not an error: it runs on in inf/NaN (a
+non-finite state never turns finite again), and its trace records the
+first non-finite readout as diverged_at.
 
 The moment functionals of g(e) = alpha e^3 / (1 + alpha e^2) for zero-mean
 Gaussian e of variance sigma_e^2(n) = emse(n) + sigma_v^2 (Al-Naffouri &
@@ -272,14 +272,13 @@ def _eigen_rows(R, P, dev, alpha, sv2, mus, N):
     read = np.stack([(Q.T @ R @ Q).ravel(), np.eye(L).ravel()], axis=1)
 
     psi = np.tile(np.outer(x0, x0).ravel(), (B, 1))  # row b: vec(Psi) at mus[b]
-    psi_rows = psi[:, None, :]
-    curves = np.empty((N + 1, B, 1, 2))  # [n, b, 0] = (emse, msd)
+    curves = np.empty((N + 1, B, 2))  # [n, b] = (emse, msd)
     gain, drive = np.zeros((B, 1)), np.zeros((B, 1))  # mu h_G and mu^2 h_U sigma_e^2 per row
     decay, forced = np.empty_like(psi), np.empty_like(psi)
     for n in range(N + 1):
         # one small product per row, so a row's rounding is its own
-        rows = np.matmul(psi_rows, read, out=curves[n]).tolist()
-        for b, ((emse_n, _),) in enumerate(rows):
+        rows = np.vecmat(psi, read, out=curves[n]).tolist()
+        for b, (emse_n, _) in enumerate(rows):
             se2 = max(emse_n, 0.0) + sv2
             hg, hu = _kernel_moments(alpha * se2)
             gain[b, 0] = mus[b] * hg
@@ -290,7 +289,7 @@ def _eigen_rows(R, P, dev, alpha, sv2, mus, N):
         np.subtract(1.0, np.multiply(gain, lam_sum, out=decay), out=decay)
         psi *= decay
         psi += np.multiply(drive, lam_diag, out=forced)
-    return curves.reshape(N + 1, B, 2)
+    return curves
 
 
 def steady_state_emse(

@@ -101,12 +101,12 @@ def exp1_scenario(sigma_v2=0.01, L=10, seed=42):
     return white_signal_model(sigma_v2, linear_phase_system(L, np.random.default_rng(seed))), cs
 
 
-def schedule_scenario(length=900):
-    # the 3-segment sparse schedule, segments starting at thirds of length;
-    # zero start weights make P s vanish
-    sched = sparse_system_schedule(12, length, np.random.default_rng(12))
-    cs = build_constraint_set(np.ones((12, 1)), np.array([float(np.sum(sched.systems[0]))]))
-    return SignalModel(R=np.eye(12), sigma_v2=0.01, w_sys=sched), cs
+def schedule_scenario(length=900, L=12):
+    # the 3-segment sparse schedule, segments starting at thirds of length,
+    # under the dc-gain constraint; zero start weights make P s vanish
+    sched = sparse_system_schedule(L, length, np.random.default_rng(12))
+    cs = build_constraint_set(np.ones((L, 1)), np.array([float(np.sum(sched.systems[0]))]))
+    return SignalModel(R=np.eye(L), sigma_v2=0.01, w_sys=sched), cs
 
 
 def ar1_scenario():
@@ -139,6 +139,10 @@ SCENARIOS = {
     # lms and lmls: the trial seeded 7 diverges at 1025 and 1027, the
     # others at 807-941, a block or more earlier
     "diverging-late": (exp1_scenario, 1.0, 7, 1100, 1, 100),
+    # exp3's filter length and step size, over two block edges
+    "schedule-L30": (lambda: schedule_scenario(600, L=30), 0.01, 2, 600, 31, 100),
+    # odd length: P's middle diagonal entry is exactly 1
+    "exp1-L11": (lambda: exp1_scenario(L=11), 0.05, 3, 400, 11, 100),
 }
 
 

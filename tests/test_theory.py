@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -84,6 +85,24 @@ class TestMomentFunctionals:
         ref_u = quad_oracle(lambda e: (alpha * e**3 / (1 + alpha * e**2)) ** 2, sigma_e2)
         assert h_G(m) == pytest.approx(ref_g, rel=1e-10, abs=0)
         assert h_U(m) == pytest.approx(ref_u, rel=1e-10, abs=0)
+
+    def test_stated_accuracy_against_mpmath(self):
+        # the module docstring's bounds, on a = 1e-8 .. 1e6 at 40 points per
+        # decade, against the closed forms in 80-digit arithmetic; after
+        # their cancellations these agree with 160-digit values to 1e-43
+        worst_g = worst_u = 0.0
+        with mpmath.workdps(80):
+            for k in range(-320, 241):
+                a = 10.0 ** (k / 40)
+                A = mpmath.mpf(a)
+                x = 1 / mpmath.sqrt(2 * A)
+                ref_g = 1 - (1 - mpmath.sqrt(mpmath.pi) * x * mpmath.exp(x * x) * mpmath.erfc(x)) / A
+                ref_u = (ref_g - 3 * A) / (2 * A) + 5 * ref_g / 2
+                m = GaussianErrorModel(1.0, a)
+                worst_g = max(worst_g, float(abs(h_G(m) - ref_g) / ref_g))
+                worst_u = max(worst_u, float(abs(h_U(m) - ref_u) / ref_u))
+        assert worst_g <= 4.9e-16, worst_g
+        assert worst_u <= 2.3e-15, worst_u
 
     def test_small_alpha_limits(self):
         # h_G -> 3 alpha sigma^2 (E[e^4] = 3 sigma^4), h_U -> 15 alpha^2 sigma^6
