@@ -412,7 +412,7 @@ def _config_echo(cfg: ExperimentConfig) -> str:
 def _theory(model: SignalModel, cs: ConstraintSet, base: AlgorithmParams, mus, horizon: int) -> list[tuple]:
     """(transient trace, closed form, ||w_o||^2) at each step size in `mus`,
     from one recursion over all of them."""
-    traces = transient_sweep(model, cs, base, mus, np.zeros(model.n_taps), horizon)
+    traces = transient_sweep(model, cs, base.alpha, mus, np.zeros(model.n_taps), horizon)
     w_o = optimal_constrained_wiener(model, cs)
     preds = [steady_state_emse(model, cs, replace(base, mu=mu)) for mu in mus]
     return [(trace, pred, float(w_o @ w_o)) for trace, pred in zip(traces, preds)]

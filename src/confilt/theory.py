@@ -5,41 +5,38 @@ current weights, confined to range(P)) follows the L x L recursion
 
     Phi(n+1) = Phi - mu h_G(n) (Phi M + M Phi) + mu^2 h_U(n) M,    M = P R P,
 
-with msd(n) = trace(Phi(n)), emse(n) = trace(R Phi(n)); it is the symmetric
-part of the L^2 x L^2 map
-
-    vec(Phi) <- (I - 2 mu h_G kron(M, I)) vec(Phi) + mu^2 h_U vec(M),
-
-which the test oracle `variance_transition` in tests/test_theory.py builds.
+with msd(n) = trace(Phi(n)), emse(n) = trace(R Phi(n)); the test oracle
+`variance_transition` in tests/test_theory.py steps it in full.
 `transient_sweep` is the one entry point: it steps every step size at once,
-one row each, and one step size is the one-row sweep. It takes one of two
-forms, chosen by the input alone.
+one row each, and one step size is the one-row sweep.
 
-White input, R exactly r I (`white_input_power`; `white_signal_model`
-builds it so): M = r P, the initial deviation x0 = P(w_o - w0) lies in
-range(P) and the drive is proportional to P, so Phi(n) = a_n x0 x0^T + c_n P
-for every n, with a_0 = 1, c_0 = 0 and
+Only psi_i = (Q^T Phi Q)_ii is needed, M = Q Lambda Q^T. The initial
+deviation x0 = P(w_o - w0) lies in range(P) and PM = MP = M, so Phi = P Phi P
+at every step, and emse = trace(M Phi) = sum_i lambda_i psi_i, msd = sum_i psi_i.
+There Psi steps to Psi - mu h_G (Psi Lambda + Lambda Psi) + mu^2 h_U Lambda,
+whose diagonal reads only the diagonal, and h_G, h_U depend on emse alone,
+so each psi_i steps on its own and no off-diagonal entry is ever needed:
+
+    psi_i <- psi_i (1 - 2 mu h_G lambda_i) + mu^2 h_U lambda_i,    psi_i(0) = (Q^T x0)_i^2.
+
+Any R but r I takes one `eigh` per sweep and one Python float per
+eigenvalue and row. White input, R exactly r I (`white_input_power`;
+`white_signal_model` builds it so), is the one-mode case: M = r P has the
+eigenvalue r with multiplicity L - K (K the number of constraints), so
+Phi(n) = a_n x0 x0^T + c_n P with a_0 = 1, c_0 = 0 and
 
     a <- a (1 - 2 mu h_G r),    c <- c (1 - 2 mu h_G r) + mu^2 h_U r,
-    msd = a ||x0||^2 + c (L - K),    emse = r msd,
+    msd = a ||x0||^2 + c (L - K),    emse = r msd:
 
-K being the number of constraints. Each row is a scalar loop in Python
-floats: no eigendecomposition and no L x L state.
+two scalars per row, no eigendecomposition, and about a third of the
+general form's time per step at L = 30. The forms agree to rounding on
+white input.
 
-Any other R is stepped in the eigenbasis of M = Q Lambda Q^T (one `eigh`
-per sweep), where the recursion is elementwise: Psi = Q^T Phi Q follows
-
-    Psi_ij <- Psi_ij (1 - mu h_G (lambda_i + lambda_j)) + mu^2 h_U lambda_i [i = j],
-
-with emse = <Q^T R Q, Psi> and msd = trace(Psi). The two forms agree to
-rounding on white input.
-
-In both, rows share no arithmetic (scalar loops; elementwise updates, and
-a readout by ``np.vecmat``, one small product per row, instead of one
-matrix product over all rows), so a row is bit-identical to its step size
-run alone. A diverged row is data, not an error: it runs on in inf/NaN (a
-non-finite state never turns finite again), and its trace records the
-first non-finite readout as diverged_at.
+Each row is a loop in Python floats that shares no arithmetic with the
+others, so a row is bit-identical to its step size run alone. A diverged
+row is data, not an error: it runs on in inf/NaN (a non-finite state never
+turns finite again, and float arithmetic never warns), and its trace
+records the first non-finite readout as diverged_at.
 
 The moment functionals of g(e) = alpha e^3 / (1 + alpha e^2) for zero-mean
 Gaussian e of variance sigma_e^2(n) = emse(n) + sigma_v^2 (Al-Naffouri &
@@ -85,6 +82,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -188,14 +186,14 @@ def h_U(model: GaussianErrorModel) -> float:
 def transient_sweep(
     scenario: SignalModel,
     cs: ConstraintSet,
-    params: AlgorithmParams,
+    alpha: float,
     mus,
     w0: np.ndarray,
     N: int,
 ) -> list[TheoryTrace]:
-    """Iterate the variance recursion from w(0) = w0 for N steps at each step
-    size in `mus` (params.mu is not used): as two scalars per step size when
-    R is exactly r I, else all at once in M's eigenbasis.
+    """Iterate the variance recursion (kernel parameter `alpha`) from w(0) = w0
+    for N steps at each step size in `mus`: two scalars per step size when R
+    is exactly r I, else one scalar per eigenvalue of M.
 
     The initial deviation is projected onto range(P), matching the
     feasible-start convention of the simulations. Each trace holds
@@ -212,25 +210,24 @@ def transient_sweep(
     R = scenario.R
     w_o = optimal_constrained_wiener(scenario, cs)
     dev = cs.P @ (w_o - np.asarray(w0, dtype=float))
-    r = white_input_power(R)  # None or a Python float, whose arithmetic on a diverged row never warns
-    # a diverged row runs on in inf/nan, which never turns finite again;
-    # silence that arithmetic, the readout records where it began
-    with np.errstate(over="ignore", invalid="ignore"):
-        if r is not None:
-            curves = _white_rows(r, cs, dev, params.alpha, scenario.sigma_v2, mus, N)
-        else:
-            curves = _eigen_rows(R, cs.P, dev, params.alpha, scenario.sigma_v2, mus, N)
-        # [n, b]: row b has diverged at or before iteration n
-        bad = np.logical_or.accumulate(~np.isfinite(curves).all(axis=2))
-        curves[bad] = np.nan
-        return [
-            TheoryTrace(
-                msd=curves[:, b, 1].copy(),
-                emse=curves[:, b, 0].copy(),
-                diverged_at=int(np.argmax(bad[:, b])) if bad[-1, b] else None,
-            )
-            for b in range(len(mus))
-        ]
+    # both forms step Python floats, whose arithmetic on a diverged row
+    # never warns; a non-finite state never turns finite again
+    r = white_input_power(R)
+    if r is not None:
+        curves = _white_rows(r, cs, dev, alpha, scenario.sigma_v2, mus, N)
+    else:
+        curves = _eigen_rows(R, cs.P, dev, alpha, scenario.sigma_v2, mus, N)
+    # [n, b]: row b has diverged at or before iteration n
+    bad = np.logical_or.accumulate(~np.isfinite(curves).all(axis=2))
+    curves[bad] = np.nan
+    return [
+        TheoryTrace(
+            msd=curves[:, b, 1].copy(),
+            emse=curves[:, b, 0].copy(),
+            diverged_at=int(np.argmax(bad[:, b])) if bad[-1, b] else None,
+        )
+        for b in range(len(mus))
+    ]
 
 
 def _white_rows(r, cs, dev, alpha, sv2, mus, N):
@@ -261,34 +258,29 @@ def _white_rows(r, cs, dev, alpha, sv2, mus, N):
 
 
 def _eigen_rows(R, P, dev, alpha, sv2, mus, N):
-    """Curves [n, b] = (emse, msd), stepped elementwise in the eigenbasis of
-    M = P R P."""
+    """Curves [n, b] = (emse, msd) for any R, from psi = diag(Q^T Phi Q),
+    M = Q Lambda Q^T: one scalar per eigenvalue, no L x L state."""
     lam, Q = np.linalg.eigh(P @ R @ P)
-    x0 = Q.T @ dev
-    L, B = len(lam), len(mus)
-    lam_sum = (lam[:, None] + lam).ravel()  # lambda_i + lambda_j
-    lam_diag = np.diag(lam).ravel()
-    # psi . read[:, 0] = <Q^T R Q, Psi> = emse, psi . read[:, 1] = trace(Psi) = msd
-    read = np.stack([(Q.T @ R @ Q).ravel(), np.eye(L).ravel()], axis=1)
-
-    psi = np.tile(np.outer(x0, x0).ravel(), (B, 1))  # row b: vec(Psi) at mus[b]
-    curves = np.empty((N + 1, B, 2))  # [n, b] = (emse, msd)
-    gain, drive = np.zeros((B, 1)), np.zeros((B, 1))  # mu h_G and mu^2 h_U sigma_e^2 per row
-    decay, forced = np.empty_like(psi), np.empty_like(psi)
-    for n in range(N + 1):
-        # one small product per row, so a row's rounding is its own
-        rows = np.vecmat(psi, read, out=curves[n]).tolist()
-        for b, (emse_n, _) in enumerate(rows):
-            se2 = max(emse_n, 0.0) + sv2
+    lam = lam.tolist()
+    psi0 = ((Q.T @ dev) ** 2).tolist()
+    curves = np.empty((N + 1, len(mus), 2))
+    for b, mu in enumerate(mus):
+        shrink = [2.0 * mu * li for li in lam]
+        drive = [mu * mu * li for li in lam]
+        psi = psi0
+        readouts = array("d")  # emse, msd of each step, unboxed
+        for n in range(N + 1):
+            emse = sum(map(mul, lam, psi))
+            readouts.append(emse)
+            readouts.append(sum(psi))
+            if n == N:
+                break
+            se2 = max(emse, 0.0) + sv2
             hg, hu = _kernel_moments(alpha * se2)
-            gain[b, 0] = mus[b] * hg
-            drive[b, 0] = mus[b] * mus[b] * hu * se2
-        if n == N:
-            break
-        # Psi <- Psi o (1 - mu h_G (lambda_i + lambda_j)) + mu^2 h_U sigma_e^2 Lambda
-        np.subtract(1.0, np.multiply(gain, lam_sum, out=decay), out=decay)
-        psi *= decay
-        psi += np.multiply(drive, lam_diag, out=forced)
+            # psi_i <- psi_i (1 - 2 mu h_G lambda_i) + mu^2 h_U lambda_i, h_U = hu se2
+            hu *= se2
+            psi = [x * (1.0 - s * hg) + d * hu for x, s, d in zip(psi, shrink, drive)]
+        curves[:, b] = np.frombuffer(readouts).reshape(N + 1, 2)
     return curves
 
 

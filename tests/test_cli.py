@@ -405,7 +405,7 @@ def test_predict_rows_go_through_the_csv_writer(tmp_path, capsys, monkeypatch):
     loaded = cli.load_config(cfg)
     model, cs = cli.build_scenario(loaded, loaded.sigma_v2)
     params = cli.AlgorithmParams(mu=loaded.mu, alpha=loaded.alpha)
-    (trace,) = cli.transient_sweep(model, cs, params, [params.mu], np.zeros(model.n_taps), loaded.horizon)
+    (trace,) = cli.transient_sweep(model, cs, params.alpha, [params.mu], np.zeros(model.n_taps), loaded.horizon)
     w_o = cli.optimal_constrained_wiener(model, cs)
     msd_db = np.asarray(cli.ratio_to_db(trace.msd / float(w_o @ w_o)))
     rows = "".join(

@@ -3,7 +3,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from confilt.constraints import ConstraintSet, build_constraint_set, linear_phase_constraints
 from confilt.kernels import AlgorithmParams
@@ -203,7 +203,7 @@ class TestTransientPredictor:
     def test_perfect_start_no_noise_stays_zero(self):
         model, cs = exp1_setup(sigma_v2=0.0)
         w_o = optimal_constrained_wiener(model, cs)
-        (trace,) = transient_sweep(model, cs, AlgorithmParams(mu=0.05), [0.05], w_o, 50)
+        (trace,) = transient_sweep(model, cs, 1.0, [0.05], w_o, 50)
         np.testing.assert_allclose(trace.msd, 0.0, atol=1e-20)
         np.testing.assert_allclose(trace.emse, 0.0, atol=1e-20)
 
@@ -230,18 +230,22 @@ class TestTransientPredictor:
         ratios = np.array(msd[1:]) / np.array(msd[:-1])
         assert np.all(ratios <= rho_eff + 1e-12)
 
-    @pytest.mark.parametrize("case, a_crossed", [("ar1-L10", 0.5), ("random-L3", 1e-3), ("white-L10", 0.5)])
+    @pytest.mark.parametrize(
+        "case, a_crossed", [("ar1-L10", 0.5), ("ar1-dcgain-L10", 0.5), ("random-L3", 1e-3), ("white-L10", 0.5)]
+    )
     def test_matches_kronecker_oracle(self, case, a_crossed):
-        # the L x L recursion (the two-scalar form for white input) against
-        # F^T vec(Phi) + drive from variance_transition, symmetrised, with
-        # the public h_G / h_U; a = alpha sigma_e^2 crosses the regime limits
-        # of the moment evaluation (0.5 for the AR(1) and white cases, 1e-3
-        # for the random one)
+        # the per-eigenvalue recursion (the two-scalar form for white input)
+        # against F^T vec(Phi) + drive from variance_transition, symmetrised,
+        # with the public h_G / h_U; a = alpha sigma_e^2 crosses the regime
+        # limits of the moment evaluation (0.5 for the AR(1) and white cases,
+        # 1e-3 for the random one). The dc-gain projector comes from an SVD
+        # and is idempotent only to rounding, so Phi = P Phi P, on which the
+        # per-eigenvalue readout rests, holds there only to rounding too
         if case == "white-L10":
             model, cs = exp1_setup()
             params = AlgorithmParams(mu=0.05, alpha=1.0)
-        elif case == "ar1-L10":
-            white, cs = exp1_setup()
+        elif case.startswith("ar1"):
+            white, cs = dc_gain_setup() if case == "ar1-dcgain-L10" else exp1_setup()
             model = ar1_signal_model(0.8, 0.01, white.w_sys)
             params = AlgorithmParams(mu=0.05, alpha=1.0)
         else:
@@ -251,7 +255,7 @@ class TestTransientPredictor:
             cs = build_constraint_set(rng.standard_normal((3, 1)), rng.standard_normal(1))
             params = AlgorithmParams(mu=2.0, alpha=0.05)
         L, N = model.n_taps, 300
-        (trace,) = transient_sweep(model, cs, params, [params.mu], np.zeros(L), N)
+        (trace,) = transient_sweep(model, cs, params.alpha, [params.mu], np.zeros(L), N)
 
         wt0 = cs.P @ optimal_constrained_wiener(model, cs)
         phi = np.outer(wt0, wt0)
@@ -272,7 +276,7 @@ class TestTransientPredictor:
 
     def test_divergent_mu_records_its_index(self):
         model, cs = exp1_setup()
-        (trace,) = transient_sweep(model, cs, AlgorithmParams(mu=500.0), [500.0], np.zeros(10), 4000)
+        (trace,) = transient_sweep(model, cs, 1.0, [500.0], np.zeros(10), 4000)
         n = trace.diverged_at
         assert isinstance(n, int) and 0 < n < 4000
         assert np.all(np.isfinite(trace.msd[:n])) and np.all(np.isfinite(trace.emse[:n]))
@@ -296,7 +300,7 @@ class TestWhiteInput:
         L = int(case.rsplit("L", 1)[1])
         model, cs = dc_gain_setup(L) if case.startswith("dc-gain") else exp1_setup(L)
         params, N = AlgorithmParams(mu=0.05, alpha=1.0), 1000
-        sweep = transient_sweep(model, cs, params, self.MUS, np.zeros(L), N)
+        sweep = transient_sweep(model, cs, params.alpha, self.MUS, np.zeros(L), N)
         dev = cs.P @ optimal_constrained_wiener(model, cs)
         curves = _eigen_rows(model.R, cs.P, dev, params.alpha, model.sigma_v2, self.MUS, N)
         for b, trace in enumerate(sweep):
@@ -312,7 +316,7 @@ class TestWhiteInput:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-        transient_sweep(model, cs, AlgorithmParams(mu=0.05), self.MUS, np.zeros(10), 20)
+        transient_sweep(model, cs, 1.0, self.MUS, np.zeros(10), 20)
         assert len(calls) == eigh_calls
 
     @pytest.mark.parametrize("input_kind", ["white", "ar1"])
@@ -322,7 +326,7 @@ class TestWhiteInput:
             model = ar1_signal_model(0.5, 0.01, model.w_sys)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sweep = transient_sweep(model, cs, AlgorithmParams(mu=0.05), [0.05, 500.0], np.zeros(10), 4000)
+            sweep = transient_sweep(model, cs, 1.0, [0.05, 500.0], np.zeros(10), 4000)
         assert sweep[0].diverged_at is None and sweep[1].diverged_at is not None
 
 
@@ -331,30 +335,30 @@ class TestTransientSweep:
 
     @pytest.mark.parametrize("input_kind", ["white", "ar1"])
     def test_each_row_equals_its_step_size_alone(self, input_kind):
-        # one small product per row: a single (rows x L^2) @ (L^2 x 2)
-        # readout rounds each row differently in a batch than alone
+        # each row steps its own Python floats, so no batched product can
+        # round a row differently in a sweep than alone
         model, cs = exp1_setup()
         if input_kind == "ar1":
             model = ar1_signal_model(0.8, 0.01, model.w_sys)
-        sweep = transient_sweep(model, cs, AlgorithmParams(mu=0.05), self.MUS, np.zeros(10), 300)
+        sweep = transient_sweep(model, cs, 1.0, self.MUS, np.zeros(10), 300)
         assert len(sweep) == len(self.MUS)
         for mu, trace in zip(self.MUS, sweep):
-            (alone,) = transient_sweep(model, cs, AlgorithmParams(mu=mu), [mu], np.zeros(10), 300)
+            (alone,) = transient_sweep(model, cs, 1.0, [mu], np.zeros(10), 300)
             assert trace.diverged_at is None
             assert np.array_equal(trace.msd, alone.msd)
             assert np.array_equal(trace.emse, alone.emse)
 
     def test_diverged_row_stops_alone(self):
         model, cs = exp1_setup()
-        (diverged,) = transient_sweep(model, cs, AlgorithmParams(mu=500.0), [500.0], np.zeros(10), 4000)
+        (diverged,) = transient_sweep(model, cs, 1.0, [500.0], np.zeros(10), 4000)
         mus = [0.05, 500.0, 0.1]
-        sweep = transient_sweep(model, cs, AlgorithmParams(mu=0.05), mus, np.zeros(10), 4000)
+        sweep = transient_sweep(model, cs, 1.0, mus, np.zeros(10), 4000)
         n = diverged.diverged_at
         assert n is not None and sweep[1].diverged_at == n
         assert np.all(np.isfinite(sweep[1].msd[:n])) and np.all(np.isnan(sweep[1].msd[n:]))
         assert np.all(np.isnan(sweep[1].emse[n:]))
         for mu, trace in zip(mus[::2], sweep[::2]):
-            (alone,) = transient_sweep(model, cs, AlgorithmParams(mu=mu), [mu], np.zeros(10), 4000)
+            (alone,) = transient_sweep(model, cs, 1.0, [mu], np.zeros(10), 4000)
             assert trace.diverged_at is None
             assert np.array_equal(trace.msd, alone.msd)
             assert np.array_equal(trace.emse, alone.emse)
@@ -435,6 +439,41 @@ class TestSteadyState:
         assert abs(pred.beta_factor - reference) <= 4.7 * np.finfo(float).eps * kappa * np.trace(R)
         assert pred.msd / pred.emse == pytest.approx(rank / pred.beta_factor, rel=8.9e-16, abs=0)
 
+    @pytest.mark.parametrize("mu", [0.03, 0.1])
+    @pytest.mark.parametrize("input_kind", ["white", "ar1"])
+    def test_recursion_limit_is_the_scalar_fixed_point(self, input_kind, mu):
+        # at the limit every mode of range(P) holds psi = mu h_U / (2 h_G),
+        # so emse = zeta = (mu/2) trace(RP) h_U/h_G at sigma_e^2 = zeta +
+        # sigma_v^2, one scalar equation, and msd = zeta (L - K) / trace(RP)
+        model, cs = exp1_setup()
+        if input_kind == "ar1":
+            model = ar1_signal_model(0.5, 0.01, model.w_sys)
+        L, rank, alpha, N = 10, 5, 1.0, 40000
+        beta, sv2 = float(np.trace(model.R @ cs.P)), model.sigma_v2
+
+        def excess(zeta):
+            err = GaussianErrorModel(zeta + sv2, alpha)
+            return zeta - 0.5 * mu * beta * h_U(err) / h_G(err)
+
+        eps = np.finfo(float).eps
+        zeta = optimize.brentq(excess, 0.0, 1.0, xtol=1e-300, rtol=4 * eps)
+        msd_limit = zeta * rank / beta
+        (trace,) = transient_sweep(model, cs, alpha, [mu], np.zeros(L), N)
+
+        # what each mode still holds at N if it decayed from its start by its
+        # factor at the fixed point; on the way there the error is larger,
+        # and so is h_G, so the modes decay at least that fast
+        lam, Q = np.linalg.eigh(cs.P @ model.R @ cs.P)
+        lam, Q = lam[-rank:], Q[:, -rank:]  # the modes of range(P)
+        psi0 = (Q.T @ (cs.P @ optimal_constrained_wiener(model, cs))) ** 2
+        decay = 1.0 - 2.0 * mu * h_G(GaussianErrorModel(zeta + sv2, alpha)) * lam
+        left = np.abs(psi0 - zeta / beta) * decay**N
+        # a few roundings per step, each carried on by the slowest factor,
+        # plus the L-term readout sums
+        floor = (4.0 / (1.0 - decay.max()) + L) * eps
+        assert abs(trace.emse[-1] / zeta - 1.0) <= lam @ left / zeta + floor
+        assert abs(trace.msd[-1] / msd_limit - 1.0) <= left.sum() / msd_limit + floor
+
     def test_recursion_matches_closed_form_in_valid_regime(self):
         # the closed form truncates the moment functionals at leading order
         # (valid for alpha sigma_e^2 << 1), so consistency with the exact
@@ -447,7 +486,7 @@ class TestSteadyState:
         w_o = optimal_constrained_wiener(model, cs)
         dev = cs.P @ np.ones(10)
         dev *= np.sqrt(pred.msd) / np.linalg.norm(dev)
-        (trace,) = transient_sweep(model, cs, p, [p.mu], w_o - dev, 60000)
+        (trace,) = transient_sweep(model, cs, p.alpha, [p.mu], w_o - dev, 60000)
         assert trace.emse[-1] == pytest.approx(trace.emse[-500], rel=1e-4)  # settled
         assert trace.emse[-1] == pytest.approx(pred.emse, rel=5e-3)
 
@@ -460,7 +499,7 @@ class TestSteadyState:
         w_o = optimal_constrained_wiener(model, cs)
         dev = cs.P @ np.ones(10)
         dev *= np.sqrt(pred.msd) / np.linalg.norm(dev)
-        (trace,) = transient_sweep(model, cs, p, [p.mu], w_o - dev, 30000)
+        (trace,) = transient_sweep(model, cs, p.alpha, [p.mu], w_o - dev, 30000)
         gap = abs(trace.emse[-1] - pred.emse) / pred.emse
         assert gap < 0.12
 
