@@ -124,7 +124,7 @@ def white_signal_model(sigma_v2: float, w_sys: np.ndarray | SystemSchedule) -> S
     R is exactly sigma_u^2 I, with no rounding off the diagonal, so that
     `white_input_power` recognises it. Two closed forms rely on that, each
     in place of a LAPACK call: the constrained optimum P w_sys + f of
-    `_optimum` (instead of two `solve`s) and the two-scalar variance
+    `_optimum` (instead of two `solve`s) and the one-mode variance
     recursion of `theory.transient_sweep` (instead of `eigh`). The factor
     beta of `theory.steady_state_emse` needs no LAPACK call for any input;
     for white input it is sigma_u^2 (L - K), exact even where P's diagonal
@@ -331,8 +331,8 @@ _PASS_BYTES = 40 << 20
 # per block, so a longer block spreads its per-call overhead over more
 # steps; but a trial's block buffers (weight ring, inputs, errors, curves)
 # grow with it and, through `_trial_bytes`, cut the trials a pass holds.
-# At 256 they already outweigh a trial's input stream and d: 107 against
-# 80 KB at exp2-mu's defaults (L = 10, 3 step sizes, horizon 5000), 132
+# At 256 they already outweigh a trial's input stream and d: 101 against
+# 80 KB at exp2-mu's defaults (L = 10, 3 step sizes, horizon 5000), 130
 # against 96 KB at exp3's (L = 30, 1 step size, horizon 6000).
 _BLOCK = 256
 
@@ -420,7 +420,6 @@ def _run_rows(
     U = np.empty((K, T, 1, L))
     errors = np.empty((K, T, n_mu))
     degenerate = np.zeros((K, T, n_mu, 1), dtype=bool)  # P s vanished at step b + i
-    dots = np.empty(errors.shape)  # the curves' dot products, before they are stored
     msd_ratio = np.empty((T, n_mu, K))
     ea2 = np.empty((T, n_mu, K))
 
@@ -511,10 +510,10 @@ def _run_rows(
             # of w(n); the next block starts from w(b + k)
             seg = seg_of[b:b + k]
             dev = np.subtract(optima_rows[seg][:, None, None, :], ring[:k], out=ring[:k])
-            sq = np.vecdot(dev, dev, out=dots[:k])
-            np.divide(sq, norms[seg][:, None, None], out=np.moveaxis(msd_ratio[..., :k], -1, 0))
-            ea = np.vecdot(dev, U[:k], out=dots[:k])
-            np.multiply(ea, ea, out=np.moveaxis(ea2[..., :k], -1, 0))
+            ratio = np.vecdot(dev, dev, out=np.moveaxis(msd_ratio[..., :k], -1, 0))
+            np.divide(ratio, norms[seg][:, None, None], out=ratio)
+            ea = np.vecdot(dev, U[:k], out=np.moveaxis(ea2[..., :k], -1, 0))
+            np.multiply(ea, ea, out=ea)
             ring[0] = ring[k]
 
         msd_ratio[diverged_at >= 0] = 0.0
@@ -533,10 +532,10 @@ def _run_rows(
 
 def _trial_bytes(L: int, n_mu: int, horizon: int) -> int:
     """Bytes a trial adds to an engine pass: its input stream and d, and its
-    rows of the block buffers (weight ring, inputs, errors, the curves' dot
-    products and the two block curves)."""
+    rows of the block buffers (weight ring, inputs, errors and the two block
+    curves)."""
     K = min(_BLOCK, horizon)
-    return 8 * (2 * horizon + L + (K + 1) * (n_mu * L + L + 4 * n_mu))
+    return 8 * (2 * horizon + L + (K + 1) * (n_mu * L + L + 3 * n_mu))
 
 
 def _adder(sums: np.ndarray):

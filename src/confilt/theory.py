@@ -19,18 +19,22 @@ so each psi_i steps on its own and no off-diagonal entry is ever needed:
 
     psi_i <- psi_i (1 - 2 mu h_G lambda_i) + mu^2 h_U lambda_i,    psi_i(0) = (Q^T x0)_i^2.
 
-Any R but r I takes one `eigh` per sweep and one Python float per
-eigenvalue and row. White input, R exactly r I (`white_input_power`;
-`white_signal_model` builds it so), is the one-mode case: M = r P has the
-eigenvalue r with multiplicity L - K (K the number of constraints), so
-Phi(n) = a_n x0 x0^T + c_n P with a_0 = 1, c_0 = 0 and
+Only the L - K modes of range(P) are stepped, K the number of constraints.
+M's other K eigenvectors span range(C), which x0 never enters: there
+lambda_i = 0 and psi_i(0) = 0, so psi_i stays 0. On range(P), M acts as
+U^T R U (P = U U^T), whose eigenvalues are at least lambda_min(R) > 0 by
+interlacing, so the null modes are `eigh`'s first K; rounding leaves their
+lambda_i at O(eps ||R||) and psi_i(0) at O((eps kappa(R))^2 ||x0||^2).
 
-    a <- a (1 - 2 mu h_G r),    c <- c (1 - 2 mu h_G r) + mu^2 h_U r,
-    msd = a ||x0||^2 + c (L - K),    emse = r msd:
+Any R but r I takes one `eigh` per sweep and one Python float per mode and
+row. White input, R exactly r I (`white_input_power`; `white_signal_model`
+builds it so), is the one-mode case: all L - K modes have lambda_i = r and
+step alike, so psi = trace(Phi) = msd steps alone from psi(0) = ||x0||^2:
 
-two scalars per row, no eigendecomposition, and about a third of the
-general form's time per step at L = 30. The forms agree to rounding on
-white input.
+    psi <- psi (1 - 2 mu h_G r) + mu^2 h_U r (L - K),    emse = r psi:
+
+one float per row and no eigendecomposition. One loop steps both forms;
+each mode's drive carries its multiplicity, 1 or L - K.
 
 Each row is a loop in Python floats that shares no arithmetic with the
 others, so a row is bit-identical to its step size run alone. A diverged
@@ -192,8 +196,10 @@ def transient_sweep(
     N: int,
 ) -> list[TheoryTrace]:
     """Iterate the variance recursion (kernel parameter `alpha`) from w(0) = w0
-    for N steps at each step size in `mus`: two scalars per step size when R
-    is exactly r I, else one scalar per eigenvalue of M.
+    for N steps at each step size in `mus`, one float per mode of range(P)
+    and step size: the L - K largest eigenvalues of M = P R P from one
+    `eigh`, or, when R is exactly r I, the single mode r of multiplicity
+    L - K and no `eigh`.
 
     The initial deviation is projected onto range(P), matching the
     feasible-start convention of the simulations. Each trace holds
@@ -207,16 +213,22 @@ def transient_sweep(
     mus = [float(mu) for mu in mus]
     if not mus:
         raise ValueError("need at least one step size")
-    R = scenario.R
     w_o = optimal_constrained_wiener(scenario, cs)
     dev = cs.P @ (w_o - np.asarray(w0, dtype=float))
-    # both forms step Python floats, whose arithmetic on a diverged row
+    # the loop steps Python floats, whose arithmetic on a diverged row
     # never warns; a non-finite state never turns finite again
-    r = white_input_power(R)
+    r = white_input_power(scenario.R)
     if r is not None:
-        curves = _white_rows(r, cs, dev, alpha, scenario.sigma_v2, mus, N)
+        # one mode, lambda = r with multiplicity trace(P) = L - K
+        lam, psi0 = [r], [float(dev @ dev)]
+        weights = [(cs.C.shape[0] - cs.C.shape[1]) * r]
     else:
-        curves = _eigen_rows(R, cs.P, dev, alpha, scenario.sigma_v2, mus, N)
+        # the K smallest eigenpairs are M's null modes, range(C)
+        K = cs.C.shape[1]
+        lam, Q = np.linalg.eigh(cs.P @ scenario.R @ cs.P)
+        lam, psi0 = lam[K:].tolist(), ((Q[:, K:].T @ dev) ** 2).tolist()
+        weights = lam
+    curves = _eigen_rows(lam, weights, psi0, alpha, scenario.sigma_v2, mus, N)
     # [n, b]: row b has diverged at or before iteration n
     bad = np.logical_or.accumulate(~np.isfinite(curves).all(axis=2))
     curves[bad] = np.nan
@@ -230,43 +242,14 @@ def transient_sweep(
     ]
 
 
-def _white_rows(r, cs, dev, alpha, sv2, mus, N):
-    """Curves [n, b] = (emse, msd) for R = r I, where Phi(n) = a_n dev dev^T
-    + c_n P: two scalars per row, no L x L state."""
-    xx = float(dev @ dev)
-    rank = float(cs.C.shape[0] - cs.C.shape[1])  # trace(P) = L - K
-    curves = np.empty((N + 1, len(mus), 2))
-    for b, mu in enumerate(mus):
-        shrink, drive = 2.0 * mu * r, mu * mu * r
-        a, c = 1.0, 0.0
-        readouts = array("d")  # emse, msd of each step, unboxed
-        for n in range(N + 1):
-            msd = a * xx + c * rank
-            emse = r * msd
-            readouts.append(emse)
-            readouts.append(msd)
-            if n == N:
-                break
-            se2 = max(emse, 0.0) + sv2
-            hg, hu = _kernel_moments(alpha * se2)
-            # a <- a (1 - 2 mu h_G r), c <- c (1 - 2 mu h_G r) + mu^2 h_U r, h_U = hu se2
-            decay = 1.0 - shrink * hg
-            a *= decay
-            c = c * decay + drive * hu * se2
-        curves[:, b] = np.frombuffer(readouts).reshape(N + 1, 2)
-    return curves
-
-
-def _eigen_rows(R, P, dev, alpha, sv2, mus, N):
-    """Curves [n, b] = (emse, msd) for any R, from psi = diag(Q^T Phi Q),
-    M = Q Lambda Q^T: one scalar per eigenvalue, no L x L state."""
-    lam, Q = np.linalg.eigh(P @ R @ P)
-    lam = lam.tolist()
-    psi0 = ((Q.T @ dev) ** 2).tolist()
+def _eigen_rows(lam, weights, psi0, alpha, sv2, mus, N):
+    """Curves [n, b] = (emse, msd) from the modes of range(P): eigenvalues
+    `lam` of M, drive weights m_i lam_i (m_i the multiplicity of mode i) and
+    psi0 = the deviation's energy in each mode, one float per mode and row."""
     curves = np.empty((N + 1, len(mus), 2))
     for b, mu in enumerate(mus):
         shrink = [2.0 * mu * li for li in lam]
-        drive = [mu * mu * li for li in lam]
+        drive = [mu * mu * wi for wi in weights]
         psi = psi0
         readouts = array("d")  # emse, msd of each step, unboxed
         for n in range(N + 1):
@@ -277,7 +260,7 @@ def _eigen_rows(R, P, dev, alpha, sv2, mus, N):
                 break
             se2 = max(emse, 0.0) + sv2
             hg, hu = _kernel_moments(alpha * se2)
-            # psi_i <- psi_i (1 - 2 mu h_G lambda_i) + mu^2 h_U lambda_i, h_U = hu se2
+            # psi_i <- psi_i (1 - 2 mu h_G lambda_i) + mu^2 h_U m_i lambda_i, h_U = hu se2
             hu *= se2
             psi = [x * (1.0 - s * hg) + d * hu for x, s, d in zip(psi, shrink, drive)]
         curves[:, b] = np.frombuffer(readouts).reshape(N + 1, 2)

@@ -314,7 +314,7 @@ def traced_sweep_peak(trials):
 
     The sweep holds the three ensemble sums, 3 * 3 * 5000 * 8 B = 0.36 MB,
     and per trial its input stream and d and its rows of the block buffers,
-    whose size `_trial_bytes` states (0.19 MB per trial at K = 256). The
+    whose size `_trial_bytes` states (0.18 MB per trial at K = 256). The
     bound allows 1.2 MB on top: one trial's signal draw (its tap matrix U,
     0.4 MB, with stream, noise and d, 0.16 MB) and numpy temporaries. It
     has no trials * mus * horizon term.

@@ -231,21 +231,31 @@ class TestTransientPredictor:
         assert np.all(ratios <= rho_eff + 1e-12)
 
     @pytest.mark.parametrize(
-        "case, a_crossed", [("ar1-L10", 0.5), ("ar1-dcgain-L10", 0.5), ("random-L3", 1e-3), ("white-L10", 0.5)]
+        "case, a_crossed",
+        [
+            ("ar1-L10", 0.5),
+            ("ar1-dcgain-L10", 0.5),
+            ("random-L3", 1e-3),
+            ("white-L10", 0.5),
+            ("white-dcgain-L10", 0.5),
+        ],
     )
     def test_matches_kronecker_oracle(self, case, a_crossed):
-        # the per-eigenvalue recursion (the two-scalar form for white input)
+        # the per-mode recursion over range(P) (one mode for white input)
         # against F^T vec(Phi) + drive from variance_transition, symmetrised,
         # with the public h_G / h_U; a = alpha sigma_e^2 crosses the regime
         # limits of the moment evaluation (0.5 for the AR(1) and white cases,
         # 1e-3 for the random one). The dc-gain projector comes from an SVD
         # and is idempotent only to rounding, so Phi = P Phi P, on which the
-        # per-eigenvalue readout rests, holds there only to rounding too
-        if case == "white-L10":
-            model, cs = exp1_setup()
+        # per-mode readout rests, holds there only to rounding too; the linear-
+        # phase AR(1) case leaves 5 of M's 10 eigenvalues, its null modes,
+        # unstepped
+        L = int(case.rsplit("L", 1)[1])
+        if case.startswith("white"):
+            model, cs = dc_gain_setup(L) if "dcgain" in case else exp1_setup(L)
             params = AlgorithmParams(mu=0.05, alpha=1.0)
         elif case.startswith("ar1"):
-            white, cs = dc_gain_setup() if case == "ar1-dcgain-L10" else exp1_setup()
+            white, cs = dc_gain_setup(L) if "dcgain" in case else exp1_setup(L)
             model = ar1_signal_model(0.8, 0.01, white.w_sys)
             params = AlgorithmParams(mu=0.05, alpha=1.0)
         else:
@@ -290,8 +300,61 @@ def dc_gain_setup(L=10, sigma_v2=0.01, seed=5):
     return white_signal_model(sigma_v2, w), build_constraint_set(np.ones((L, 1)), np.array([w.sum()]))
 
 
+class TestNullModes:
+    """The K modes `transient_sweep` does not step: the first K eigenpairs of
+    M = P R P from `eigh` are M's null space, range(C), to rounding.
+
+    Rounding model, eps = machine epsilon: the computed projector, the two
+    products that form M and `eigh` are together exact for M + E with
+    ||E|| <= c L eps ||R||, c = 7. The projector's own backward error is at
+    most L eps (exact for linear phase) and enters M twice: 2. The products
+    add at most 2 gamma_L |P||R||P| <= L eps |P||R||P| entrywise (Higham,
+    Thm 3.5), and || |P||R||P| || <= 4 ||R||, since |R| = R for rho > 0 and
+    || |P| || <= 2 for both constraint families (|P| = P for linear phase,
+    |I - 11^T/L| <= I + 11^T/L for dc-gain): 4. `eigh`'s backward error is
+    at most L eps ||M|| <= L eps ||R||: 1. By Weyl, the K null eigenvalues
+    stay within ||E|| of 0, and the others, at least lambda_min(R) by Cauchy
+    interlacing (M acts on range(P) as U^T R U), within ||E|| of that; the
+    computed lambda_min(R) is off by at most L eps ||R|| itself. By Davis and
+    Kahan's sin-theta theorem the computed null basis leans into range(P)
+    by at most ||E|| / (lambda_min(R) - ||E||) = c L eps kappa_E, and dev =
+    fl(P x) leaves range(P) by at most 2 L eps ||x||, while eigh's vectors
+    are orthonormal to L eps. Summed, with sin-theta < 1/2:
+    ||Q_K^T dev|| <= L eps ((c kappa_E + 1) ||dev|| + 3 ||x||), which is
+    (c L eps kappa(R))^2 ||dev||^2 for psi(0) up to the x term and the +1.
+    Measured over these cases: null eigenvalues
+    at most 1.7 eps ||R||, 0.008 of their bound; the (K+1)-th below
+    lambda_min(R) by at most 0.0022 of its allowance; and the null modes'
+    share of ||dev|| at most 0.0025 of its bound, so they drop at most
+    1.7e3 eps^2 ||dev||^2 of psi(0) (rho = 0.95, linear phase, L = 30).
+    """
+
+    @pytest.mark.parametrize("rho", [0.5, 0.8, 0.95])
+    @pytest.mark.parametrize(
+        "case", ["linear-phase-L10", "linear-phase-L11", "linear-phase-L30", "dc-gain-L10", "dc-gain-L30"]
+    )
+    def test_first_k_eigenpairs_are_the_null_modes(self, case, rho):
+        L = int(case.rsplit("L", 1)[1])
+        white, cs = dc_gain_setup(L) if case.startswith("dc-gain") else exp1_setup(L)
+        model = ar1_signal_model(rho, 0.01, white.w_sys)
+        K, R, eps, c = cs.C.shape[1], model.R, np.finfo(float).eps, 7.0
+        x = optimal_constrained_wiener(model, cs)  # w_o - w0 at w0 = 0
+        dev = cs.P @ x
+        lam, Q = np.linalg.eigh(cs.P @ R @ cs.P)
+        r_eig = np.linalg.eigvalsh(R)
+        norm_r, lam_min = r_eig[-1], r_eig[0]
+        err = c * L * eps * norm_r  # ||E||
+        assert np.all(np.abs(lam[:K]) <= err), lam[:K] / (L * eps * norm_r)
+        assert lam[K] >= lam_min - err - L * eps * norm_r, (lam[K] - lam_min) / (L * eps * norm_r)
+        kappa_e = norm_r / (lam_min - err)
+        leak = np.linalg.norm(Q[:, :K].T @ dev)
+        bound = L * eps * ((c * kappa_e + 1.0) * np.linalg.norm(dev) + 3.0 * np.linalg.norm(x))
+        assert leak <= bound, leak / bound
+
+
 class TestWhiteInput:
-    """R = r I: Phi(n) = a_n x0 x0^T + c_n P, two scalars per step size."""
+    """R = r I: the one mode lambda = r of multiplicity L - K, psi =
+    trace(Phi), one float per step size."""
 
     MUS = [0.01, 0.05, 0.1, 0.3]
 
@@ -301,8 +364,11 @@ class TestWhiteInput:
         model, cs = dc_gain_setup(L) if case.startswith("dc-gain") else exp1_setup(L)
         params, N = AlgorithmParams(mu=0.05, alpha=1.0), 1000
         sweep = transient_sweep(model, cs, params.alpha, self.MUS, np.zeros(L), N)
-        dev = cs.P @ optimal_constrained_wiener(model, cs)
-        curves = _eigen_rows(model.R, cs.P, dev, params.alpha, model.sigma_v2, self.MUS, N)
+        # every eigenvalue of M, its K null modes included
+        lam, Q = np.linalg.eigh(cs.P @ model.R @ cs.P)
+        psi0 = (Q.T @ (cs.P @ optimal_constrained_wiener(model, cs))) ** 2
+        lam = lam.tolist()
+        curves = _eigen_rows(lam, lam, psi0.tolist(), params.alpha, model.sigma_v2, self.MUS, N)
         for b, trace in enumerate(sweep):
             assert trace.diverged_at is None
             np.testing.assert_allclose(trace.msd, curves[:, b, 1], rtol=1e-12, atol=0)
