@@ -12,8 +12,9 @@ The logarithmic-cost error kernel
 
 behaves like a fourth-power cost for small errors (g ~ alpha e^3) and like
 plain LMS for large ones (g -> e), trading fast initial convergence for a
-low steady-state floor. Constrained variants project every candidate back
-onto the feasible set via ``w <- P (.) + f``.
+low steady-state floor. At alpha = inf, g(e) = e exactly: each LMS member is
+its log-kernel twin there, so `_step` and `_l1_step` are the family's two
+update rules. Constrained variants project back with ``w <- P (.) + f``.
 
 The sparse variants add a linearized l1-budget constraint s^T w = t on top
 of the linear constraints; the reweighted flavor shrinks only inactive taps
@@ -60,7 +61,7 @@ class AlgorithmParams:
     """Hyper-parameters shared by the whole algorithm family.
 
     mu : step size (>= 0; 0 reduces every step to the feasibility map)
-    alpha : logarithmic-cost design parameter (> 0)
+    alpha : logarithmic-cost design parameter (> 0; inf gives g(e) = e)
     t : l1 budget for the sparse variants; None means "resolve from the
         scenario's optimal solution" (done by the simulation layer)
     beta_slope : slope of the arctan reweighting (> 0)
@@ -112,11 +113,12 @@ class SparseStepAux:
 def error_nonlinearity(e: float, alpha: float) -> float:
     """Logarithmic-cost kernel g(e) = alpha e^3 / (1 + alpha e^2).
 
-    Odd, |g(e)| <= min(|e|, alpha |e|^3), and g(e) -> e as |e| grows.
+    Odd, |g(e)| <= min(|e|, alpha |e|^3), and g(e) -> e as |e| grows. At
+    alpha = inf, x = alpha e^2 is inf or NaN, so g(e) = e bit for bit.
     """
     x = alpha * e * e
     if not math.isfinite(x):
-        # limit g(e) -> e for |e| -> inf
+        # limit g(e) -> e for |e| -> inf, and every e at alpha = inf
         return e
     if x < 1.0 and abs(e) < 1e100:
         # e**3 first: dividing by 1 + x >= 1 cannot round above alpha |e|^3,
@@ -125,13 +127,11 @@ def error_nonlinearity(e: float, alpha: float) -> float:
     return e * (x / (1.0 + x))
 
 
-def _check_sample(w: np.ndarray, u: np.ndarray) -> None:
-    if w.shape != u.shape:
-        raise ValueError(f"weight/input shape mismatch: {w.shape} vs {u.shape}")
-
-
 def _error(state: FilterState, u: np.ndarray, d: float) -> float:
-    e = d - float(state.w @ u)
+    if state.w.shape != u.shape:
+        raise ValueError(f"weight/input shape mismatch: {state.w.shape} vs {u.shape}")
+    # Python floats: 0 * inf at alpha = inf gives NaN without a numpy warning
+    e = float(d) - float(state.w @ u)
     if not math.isfinite(e):
         raise DivergenceError(
             f"non-finite estimation error at iteration {state.n}", iteration=state.n
@@ -139,40 +139,39 @@ def _error(state: FilterState, u: np.ndarray, d: float) -> float:
     return e
 
 
-def lms_step(state: FilterState, u: np.ndarray, d: float, params: AlgorithmParams) -> FilterState:
-    """Unconstrained LMS: w <- w + mu e u."""
-    _check_sample(state.w, u)
+def _step(
+    state: FilterState, u: np.ndarray, d: float, params: AlgorithmParams, cs: ConstraintSet | None, alpha: float
+) -> FilterState:
+    """w <- w + mu g(e) u, then w <- P (.) + f when `cs` is given."""
     e = _error(state, u, d)
-    return FilterState(w=state.w + (params.mu * e) * u, n=state.n + 1)
+    w = state.w + (params.mu * error_nonlinearity(e, alpha)) * u
+    if cs is not None:
+        w = cs.P @ w + cs.f
+    return FilterState(w=w, n=state.n + 1)
+
+
+def lms_step(state: FilterState, u: np.ndarray, d: float, params: AlgorithmParams) -> FilterState:
+    """Unconstrained LMS: w <- w + mu e u, lmls at alpha = inf."""
+    return _step(state, u, d, params, None, math.inf)
 
 
 def lmls_step(state: FilterState, u: np.ndarray, d: float, params: AlgorithmParams) -> FilterState:
     """Unconstrained logarithmic-cost step: w <- w + mu g(e) u."""
-    _check_sample(state.w, u)
-    e = _error(state, u, d)
-    g = error_nonlinearity(e, params.alpha)
-    return FilterState(w=state.w + (params.mu * g) * u, n=state.n + 1)
+    return _step(state, u, d, params, None, params.alpha)
 
 
 def clms_step(
     state: FilterState, u: np.ndarray, d: float, params: AlgorithmParams, cs: ConstraintSet
 ) -> FilterState:
-    """Constrained LMS: w <- P (w + mu e u) + f."""
-    _check_sample(state.w, u)
-    e = _error(state, u, d)
-    w = cs.P @ (state.w + (params.mu * e) * u) + cs.f
-    return FilterState(w=w, n=state.n + 1)
+    """Constrained LMS: w <- P (w + mu e u) + f, clmls at alpha = inf."""
+    return _step(state, u, d, params, cs, math.inf)
 
 
 def clmls_step(
     state: FilterState, u: np.ndarray, d: float, params: AlgorithmParams, cs: ConstraintSet
 ) -> FilterState:
     """Constrained logarithmic-cost step: w <- P (w + mu g(e) u) + f."""
-    _check_sample(state.w, u)
-    e = _error(state, u, d)
-    g = error_nonlinearity(e, params.alpha)
-    w = cs.P @ (state.w + (params.mu * g) * u) + cs.f
-    return FilterState(w=w, n=state.n + 1)
+    return _step(state, u, d, params, cs, params.alpha)
 
 
 # Squared-norm threshold below which P s no longer defines a usable
@@ -194,10 +193,10 @@ def _l1_step(
     d: float,
     params: AlgorithmParams,
     cs: ConstraintSet,
-    use_log_kernel: bool,
+    alpha: float,
     reweighted: bool,
 ) -> tuple[FilterState, SparseStepAux]:
-    _check_sample(state.w, u)
+    e = _error(state, u, d)
     w = state.w
     t = _resolved_budget(params)
 
@@ -219,8 +218,7 @@ def _l1_step(
         )
     q = Ps / ps2
 
-    e = _error(state, u, d)
-    g = error_nonlinearity(e, params.alpha) if use_log_kernel else e
+    g = error_nonlinearity(e, alpha)
     e_l1 = t - t_now
     f_l1 = e_l1 * q
 
@@ -239,7 +237,7 @@ def l1_clmls_step(state, u, d, params: AlgorithmParams, cs: ConstraintSet):
     s = sign(w). Raises :class:`DegenerateDirectionError` when P s
     vanishes (e.g. all-zero weights).
     """
-    return _l1_step(state, u, d, params, cs, use_log_kernel=True, reweighted=False)
+    return _l1_step(state, u, d, params, cs, params.alpha, reweighted=False)
 
 
 def l1_wclmls_step(state, u, d, params: AlgorithmParams, cs: ConstraintSet):
@@ -249,17 +247,17 @@ def l1_wclmls_step(state, u, d, params: AlgorithmParams, cs: ConstraintSet):
     arctan budget (2/pi) sum_j arctan(beta |w_j|) toward t, so shrinkage
     concentrates on inactive taps.
     """
-    return _l1_step(state, u, d, params, cs, use_log_kernel=True, reweighted=True)
+    return _l1_step(state, u, d, params, cs, params.alpha, reweighted=True)
 
 
 def l1_clms_step(state, u, d, params: AlgorithmParams, cs: ConstraintSet):
-    """Sparse constrained LMS baseline (same machinery, g(e) = e)."""
-    return _l1_step(state, u, d, params, cs, use_log_kernel=False, reweighted=False)
+    """Sparse constrained LMS baseline: l1-clmls at alpha = inf, g(e) = e."""
+    return _l1_step(state, u, d, params, cs, math.inf, reweighted=False)
 
 
 def l1_wclms_step(state, u, d, params: AlgorithmParams, cs: ConstraintSet):
-    """Reweighted sparse constrained LMS baseline (g(e) = e)."""
-    return _l1_step(state, u, d, params, cs, use_log_kernel=False, reweighted=True)
+    """Reweighted sparse constrained LMS baseline: l1-wclmls at alpha = inf."""
+    return _l1_step(state, u, d, params, cs, math.inf, reweighted=True)
 
 
 @dataclass(frozen=True)

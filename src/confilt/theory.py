@@ -62,6 +62,8 @@ so `_kernel_moments` evaluates the pair by regime:
 
 Against 80-digit mpmath values on a = 1e-8 .. 1e6 (40 points per decade) the
 relative error is at most 4.9e-16 for h_G and 2.3e-15 for h_U.
+At alpha = inf, the LMS kernel g(e) = e, and sigma_e^2 > 0, a = inf takes the
+last form at x = 0: h_G = 1, h_U = sigma_e^2 exactly; the recursion is CLMS's.
 
 The steady-state closed form uses the small-error approximation
 h_G ~ 3 alpha sigma_e^2, h_U ~ 15 alpha^2 sigma_e^6, which turns the

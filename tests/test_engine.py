@@ -1,6 +1,7 @@
 """The row engine against the per-sample step functions, bit for bit."""
 
 import functools
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -187,6 +188,33 @@ def test_rows_match_per_sample_oracle(scenario, algorithm, monkeypatch):
     assert res.max_residual == max(r[3] for r in refs)
 
 
+# (scenario, step sizes, trials, horizon): exp1's white linear-phase input,
+# and exp3's length, step size and dc-gain schedule
+TWIN_SCENARIOS = {
+    "exp1": (exp1_scenario, [0.01, 0.05, 0.2], 6, 1500),
+    "schedule-L30": (lambda: schedule_scenario(1500, L=30), [0.01], 4, 1500),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(TWIN_SCENARIOS))
+@pytest.mark.parametrize(
+    "lms, twin", [("lms", "lmls"), ("clms", "clmls"), ("l1-clms", "l1-clmls"), ("l1-wclms", "l1-wclmls")]
+)
+def test_log_kernel_twin_at_infinite_alpha_is_the_lms_member(lms, twin, scenario):
+    # the engine steps an LMS member with g = e and no kernel arithmetic; its
+    # log-kernel twin at alpha = inf computes g(e) = e, row for row
+    make, mus, trials, horizon = TWIN_SCENARIOS[scenario]
+    model, cs = make()
+    cs = cs if ALGORITHMS[lms].constrained else None
+    want = run_step_size_sweep(model, lms, AlgorithmParams(mu=mus[0]), mus, trials, horizon, 9, cs=cs)
+    got = run_step_size_sweep(
+        model, twin, AlgorithmParams(mu=mus[0], alpha=math.inf), mus, trials, horizon, 9, cs=cs
+    )
+    for a, b in zip(want, got, strict=True):
+        for field in ("msd_ratio", "emse", "msd_ratio_se", "diverged_at", "fallback_steps", "max_residual"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 @pytest.mark.parametrize("algorithm", ["clmls", "l1-wclmls", "lmls"])
 def test_row_independent_of_batch(algorithm):
     model, cs = schedule_scenario()
@@ -351,7 +379,7 @@ LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("alpha", [1e-3, 1.0, 11.0, 1e-250])
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 11.0, 1e-250, math.inf])
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_log_kernel_rows_equals_error_nonlinearity(layout, alpha):
     rng = np.random.default_rng(5)
@@ -364,10 +392,14 @@ def test_log_kernel_rows_equals_error_nonlinearity(layout, alpha):
     cubic = np.concatenate([special[:6], rng.uniform(-0.99, 0.99, 5994) / np.sqrt(alpha)])
     for values in (mixed, cubic):
         e = LAYOUTS[layout](values)
-        want = np.array([error_nonlinearity(v, alpha) for v in e.ravel()]).reshape(e.shape)
+        # at alpha = inf, 0 * inf warns for numpy scalars and arrays alike
         with np.errstate(all="ignore"):
+            want = np.array([error_nonlinearity(v, alpha) for v in e.ravel()]).reshape(e.shape)
             got = _log_kernel_rows(e, alpha)
         assert np.array_equal(got, want, equal_nan=True)
+        if alpha == math.inf:
+            # the LMS kernel: e itself, signed zeros and NaN payloads included
+            assert got.tobytes() == want.tobytes() == e.tobytes()
 
 
 def test_import_path_has_no_scipy():

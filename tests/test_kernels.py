@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,9 +98,12 @@ class TestPlainSteps:
         np.testing.assert_allclose(out.w, [0.25])
         out = lms_step(st0, np.array([1.0]), 1.0, p)
         np.testing.assert_allclose(out.w, [0.5])
-        # e = 0 -> no change
-        still = lms_step(FilterState(w=np.array([2.0])), np.array([1.0]), 2.0, p)
-        np.testing.assert_allclose(still.w, [2.0])
+        # e = 0 -> no change, and g(0) at alpha = inf warns for no type of d
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (2.0, np.float64(2.0)):
+                still = lms_step(FilterState(w=np.array([2.0])), np.array([1.0]), d, p)
+                np.testing.assert_allclose(still.w, [2.0])
 
     def test_lms_is_large_alpha_limit_of_lmls(self):
         rng = np.random.default_rng(4)
@@ -109,6 +113,9 @@ class TestPlainSteps:
         a = lms_step(FilterState(w=w), u, d, AlgorithmParams(mu=0.05))
         b = lmls_step(FilterState(w=w), u, d, AlgorithmParams(mu=0.05, alpha=1e9))
         np.testing.assert_allclose(a.w, b.w, rtol=1e-6)
+        # and at alpha = inf, g(e) = e exactly
+        c = lmls_step(FilterState(w=w), u, d, AlgorithmParams(mu=0.05, alpha=math.inf))
+        assert np.array_equal(a.w, c.w)
 
     def test_clms_1000_random_steps_stay_feasible(self):
         rng = np.random.default_rng(11)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -238,6 +239,10 @@ class TestTransientPredictor:
             ("random-L3", 1e-3),
             ("white-L10", 0.5),
             ("white-dcgain-L10", 0.5),
+            # alpha = inf, the LMS kernel: h_G = 1 and h_U = sigma_e^2 at every
+            # step, so this is the CLMS recursion and a crosses nothing
+            pytest.param("white-L10", None, id="white-L10-alpha-inf"),
+            pytest.param("ar1-L10", None, id="ar1-L10-alpha-inf"),
         ],
     )
     def test_matches_kronecker_oracle(self, case, a_crossed):
@@ -264,6 +269,8 @@ class TestTransientPredictor:
             model = SignalModel(R=A @ A.T + np.eye(3), sigma_v2=0.01, w_sys=rng.standard_normal(3))
             cs = build_constraint_set(rng.standard_normal((3, 1)), rng.standard_normal(1))
             params = AlgorithmParams(mu=2.0, alpha=0.05)
+        if a_crossed is None:
+            params = AlgorithmParams(mu=params.mu, alpha=math.inf)
         L, N = model.n_taps, 300
         (trace,) = transient_sweep(model, cs, params.alpha, [params.mu], np.zeros(L), N)
 
@@ -281,8 +288,9 @@ class TestTransientPredictor:
             phi = 0.5 * (phi + phi.T)
         np.testing.assert_allclose(trace.msd, msd, rtol=1e-12, atol=0)
         np.testing.assert_allclose(trace.emse, emse, rtol=1e-12, atol=0)
-        a = params.alpha * (trace.emse + model.sigma_v2)
-        assert a[0] > a_crossed > a[-1]
+        if a_crossed is not None:
+            a = params.alpha * (trace.emse + model.sigma_v2)
+            assert a[0] > a_crossed > a[-1]
 
     def test_divergent_mu_records_its_index(self):
         model, cs = exp1_setup()
