@@ -425,22 +425,17 @@ def _core_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _attempt(job: Callable[[], Any]) -> tuple[bool, Any]:
-    """(True, result) or (False, the exception the job raised)."""
-    try:
-        return True, job()
-    except Exception as exc:  # handed to the caller, which raises it in job order
-        return False, exc
-
-
 def _attempt_each(jobs: Sequence[Callable[[], Any]]) -> list[tuple[bool, Any]]:
-    """`_attempt` outcomes of the jobs in order, up to and including the
-    first failure: a later job of the same share cannot be the first failure
-    in job order, so it is not run."""
+    """The outcomes of the jobs in order, each (True, result) or (False, the
+    exception the job raised), up to and including the first failure: a later
+    job of the same share cannot be the first failure in job order, so it is
+    not run."""
     outcomes = []
     for job in jobs:
-        outcomes.append(_attempt(job))
-        if not outcomes[-1][0]:
+        try:
+            outcomes.append((True, job()))
+        except Exception as exc:  # handed to the caller, which raises it in job order
+            outcomes.append((False, exc))
             break
     return outcomes
 
@@ -467,7 +462,7 @@ def _run_jobs(jobs: Sequence[Callable[[], Any]]) -> list[Any]:
     The jobs are dealt round-robin into one share per core, at most one per
     job. This process computes the first share. Each other share runs in a
     child made with os.fork, which inherits the jobs as they are, pickles its
-    `_attempt` outcomes back through a pipe and leaves with os._exit. A share
+    `_attempt_each` outcomes back through a pipe and leaves with os._exit. A share
     stops at its first failure, since its later jobs come later in job order
     too; every other share still runs to its end or its own failure. So one
     job, or one core, forks nothing. Every child is reaped before this returns
@@ -569,7 +564,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
     theory_files: set[str] = set()
     for i, (label, _, _) in enumerate(points):
         for name in cfg.algorithms:
-            (mu, res), tag = table[i, name], _tag(name, label)
+            (mu, res), tag = table[i, name], f"{name}_{label}" if label else name
             fname = f"{cfg.experiment}_{tag}.csv"
             header = ["iteration", "msd_db", "emse"]
             cols = [np.arange(cfg.horizon), res.msd_db, res.emse]
@@ -607,10 +602,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
     summary += ["", "[config-echo]", _config_echo(cfg), ""]
     (out_dir / "summary.txt").write_text("\n".join(summary), encoding="utf-8")
     _write_plot_script(out_dir, cfg, csv_files, theory_files)
-
-
-def _tag(name: str, label: str) -> str:
-    return f"{name}_{label}" if label else name
 
 
 def _write_plot_script(out_dir: Path, cfg, csv_files: dict[str, str], theory_files) -> None:

@@ -14,7 +14,8 @@ Every constrained update in this package is of the form
 how P and f were formed:
 
 - the linear-phase set (`linear_phase_constraints`) is built in closed
-  form, P = (I + J)/2 and f = 0, which floating point holds exactly: P w is
+  form, C the first L // 2 columns of I - J, P = (I + J)/2 and f = 0,
+  which floating point holds exactly: P w is
   exactly symmetric, so ``C^T w - z`` is exactly zero (linear-phase runs
   report ``max_residual=0``);
 - a general C (`build_constraint_set`, used for the dc-gain constraint)
@@ -125,9 +126,9 @@ def build_constraint_set(C: np.ndarray, z: np.ndarray) -> ConstraintSet:
 def linear_phase_constraints(L: int) -> ConstraintSet:
     """Constraints forcing a symmetric impulse response w_i = w_{L-1-i}.
 
-    For even L the constraint matrix stacks I_{L/2} above -J_{L/2}
-    (J the reversal matrix); for odd L a zero row separates the two
-    blocks and the middle tap is unconstrained. z = 0, hence f = 0.
+    The constraint matrix is the first L // 2 columns of I - J_L (J the
+    reversal matrix): column i is e_i - e_{L-1-i}, so for odd L the middle
+    tap is unconstrained. z = 0, hence f = 0.
 
     P = (I + J_L)/2 is built directly, not by `build_constraint_set`: its
     entries 0, 1/2 and 1 (the middle tap of odd L) are exact, so P is
@@ -138,10 +139,7 @@ def linear_phase_constraints(L: int) -> ConstraintSet:
     if L < 2:
         raise ValueError(f"filter length must be at least 2, got L={L}")
     half = L // 2
-    J = np.eye(half)[::-1]
-    if L % 2 == 0:
-        C = np.vstack([np.eye(half), -J])
-    else:
-        C = np.vstack([np.eye(half), np.zeros((1, half)), -J])
-    P = 0.5 * (np.eye(L) + np.eye(L)[::-1])
+    I, J = np.eye(L), np.eye(L)[::-1]
+    P = 0.5 * (I + J)
+    C = (I - J)[:, :half]
     return ConstraintSet(C=C, z=np.zeros(half), P=P, f=np.zeros(L))

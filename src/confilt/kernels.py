@@ -179,14 +179,6 @@ def clmls_step(
 _DEGENERATE_PS2 = 1e-12
 
 
-def _resolved_budget(params: AlgorithmParams) -> float:
-    if params.t is None:
-        raise ValueError(
-            "l1 budget t is unset; resolve it from the scenario before stepping"
-        )
-    return params.t
-
-
 def _l1_step(
     state: FilterState,
     u: np.ndarray,
@@ -197,8 +189,11 @@ def _l1_step(
     reweighted: bool,
 ) -> tuple[FilterState, SparseStepAux]:
     e = _error(state, u, d)
-    w = state.w
-    t = _resolved_budget(params)
+    w, t = state.w, params.t
+    if t is None:
+        raise ValueError(
+            "l1 budget t is unset; resolve it from the scenario before stepping"
+        )
 
     if reweighted:
         beta = params.beta_slope

@@ -53,7 +53,8 @@ depend on a = alpha sigma_e^2 = 1/(2 x^2) only. Both forms cancel for small a,
 so `_kernel_moments` evaluates the pair by regime:
 
   a < 1e-3   moment series h_G = sum_k>=1 (-1)^(k+1) (2k+1)!! a^k and, termwise
-             through the identity, h_U/sigma_e^2 = sum_k>=2 (-1)^k (k-1) (2k+1)!! a^k;
+             through the identity, h_U/sigma_e^2 = sum_k>=2 (-1)^k (k-1) (2k+1)!! a^k,
+             which gives h_G = h_U = 0 at a = 0 as well;
   a <= 0.5   continued fraction sqrt(pi) erfcx(x) = 1/(x + t1), t_k = (k/2)/(x + t_(k+1))
              at depth ceil(400 a) + 20; with D = (x + t1)(x + t2), sums of positive
              terms h_G = [x (t1 + t2) + t1 t2] / D, h_U/sigma_e^2 = t2 t3 (x t4 + 1/2) / D;
@@ -62,8 +63,9 @@ so `_kernel_moments` evaluates the pair by regime:
 
 Against 80-digit mpmath values on a = 1e-8 .. 1e6 (40 points per decade) the
 relative error is at most 4.9e-16 for h_G and 2.3e-15 for h_U.
-At alpha = inf, the LMS kernel g(e) = e, and sigma_e^2 > 0, a = inf takes the
-last form at x = 0: h_G = 1, h_U = sigma_e^2 exactly; the recursion is CLMS's.
+At alpha = inf, the LMS kernel g(e) = e, h_G = 1 and h_U = sigma_e^2 exactly
+(a = inf takes the last form at x = 0); the recursion, which sets them without
+forming a = inf * sigma_e^2, NaN at sigma_e^2 = 0, is CLMS's.
 
 The steady-state closed form uses the small-error approximation
 h_G ~ 3 alpha sigma_e^2, h_U ~ 15 alpha^2 sigma_e^6, which turns the
@@ -139,11 +141,10 @@ _SQRT_PI = math.sqrt(math.pi)
 
 def _kernel_moments(a: float) -> tuple[float, float]:
     """(h_G, h_U / sigma_e2) at a = alpha sigma_e2, without cancellation."""
-    if a == 0.0:
-        return 0.0, 0.0
     if a < _SERIES_MAX:
         # t = (2k+1)!! a^k shrinks by (2k+3) a per term, so the terms are
-        # negligible long before the asymptotic series turns
+        # negligible long before the asymptotic series turns; at a = 0 every
+        # term is 0 and the second ends the loop with (0.0, 0.0)
         hg = hu = 0.0
         t, k, sign = 3.0 * a, 1, 1.0
         while True:
@@ -261,7 +262,8 @@ def _eigen_rows(lam, weights, psi0, alpha, sv2, mus, N):
             if n == N:
                 break
             se2 = max(emse, 0.0) + sv2
-            hg, hu = _kernel_moments(alpha * se2)
+            # the LMS kernel's moments without inf * se2, NaN at se2 = 0
+            hg, hu = (1.0, 1.0) if alpha == math.inf else _kernel_moments(alpha * se2)
             # psi_i <- psi_i (1 - 2 mu h_G lambda_i) + mu^2 h_U m_i lambda_i, h_U = hu se2
             hu *= se2
             psi = [x * (1.0 - s * hg) + d * hu for x, s, d in zip(psi, shrink, drive)]

@@ -66,6 +66,15 @@ class TestLinearPhase:
         np.testing.assert_allclose(cs.C, [[1], [0], [-1]], atol=1e-14)
         assert cs.residual(np.array([2.0, 5.0, 2.0])) == 0.0
 
+    @pytest.mark.parametrize("L", [2, 3, 10, 11])
+    def test_c_is_the_two_block_stack(self, L):
+        # I_{L/2} above -J_{L/2}, with a zero row between them for odd L
+        half = L // 2
+        J = np.eye(half)[::-1]
+        middle = [np.zeros((1, half))] if L % 2 else []
+        expected = np.vstack([np.eye(half), *middle, -J])
+        assert np.array_equal(linear_phase_constraints(L).C, expected)
+
     @pytest.mark.parametrize("L", [2, 3, 4, 7, 10, 11])
     def test_symmetry_iff_feasible(self, L):
         cs = linear_phase_constraints(L)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from confilt.kernels import (
     l1_wclmls_step,
     lms_step,
     lmls_step,
+    _l1_step,
 )
 
 
@@ -235,6 +237,17 @@ class TestSparseSteps:
             l1_clmls_step(
                 FilterState(w=np.array([1.0, 0.5])), np.ones(2), 0.0,
                 AlgorithmParams(mu=0.1), cs,
+            )
+
+    @pytest.mark.parametrize("reweighted", [False, True])
+    @pytest.mark.parametrize("alpha", [1.0, math.inf])
+    def test_unset_budget_message(self, alpha, reweighted):
+        # the whole message, raised after the error is formed and before any step
+        message = "l1 budget t is unset; resolve it from the scenario before stepping"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _l1_step(
+                FilterState(w=np.array([1.0, 0.5])), np.ones(2), 0.0,
+                AlgorithmParams(mu=0.1), axis_cs(), alpha, reweighted,
             )
 
     @pytest.mark.parametrize(

@@ -75,6 +75,13 @@ class TestMomentFunctionals:
         assert h_G(GaussianErrorModel(0.0, 1.0)) == 0.0
         assert h_U(GaussianErrorModel(0.0, 1.0)) == 0.0
 
+    @pytest.mark.parametrize("a", [0.0, -0.0])
+    def test_zero_argument_gives_positive_zeros(self, a):
+        # the moment series itself ends at a = 0, with +0.0 in both places
+        moments = _kernel_moments(a)
+        assert moments == (0.0, 0.0)
+        assert all(math.copysign(1.0, m) == 1.0 for m in moments)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             GaussianErrorModel(-1.0, 1.0)
@@ -202,11 +209,15 @@ def exp1_setup(L=10, sigma_v2=0.01, seed=5):
 
 class TestTransientPredictor:
     def test_perfect_start_no_noise_stays_zero(self):
+        # sigma_e^2 = 0 at every step; at alpha = inf the LMS moments
+        # h_G = 1, h_U = sigma_e^2 = 0 must not come from a = inf * 0 = NaN
         model, cs = exp1_setup(sigma_v2=0.0)
         w_o = optimal_constrained_wiener(model, cs)
-        (trace,) = transient_sweep(model, cs, 1.0, [0.05], w_o, 50)
-        np.testing.assert_allclose(trace.msd, 0.0, atol=1e-20)
-        np.testing.assert_allclose(trace.emse, 0.0, atol=1e-20)
+        for alpha in (1.0, math.inf):
+            (trace,) = transient_sweep(model, cs, alpha, [0.05], w_o, 50)
+            assert trace.diverged_at is None, alpha
+            assert np.array_equal(trace.msd, np.zeros(51)), alpha
+            assert np.array_equal(trace.emse, np.zeros(51)), alpha
 
     def test_frozen_kernel_geometric_decay(self):
         # with h_G, h_U frozen and zero drive the msd contracts at least as
