@@ -29,15 +29,27 @@ each matched algorithm right after its reference, and then the
 recursions. There is no option for this: one core, or one job, forks
 nothing.
 
+Only `run` and `predict` compute, so only they load numpy and the numeric
+layers (`constraints`, `simulation`, `theory`). Importing this module loads
+the standard library and `kernels`' algorithm table, which is all that
+`init`, `validate`, `--help` and a usage error need. `_numeric` binds the
+numeric layers' names as globals of this module, once. `main` calls it
+before it runs or predicts. `_signal_model` calls it too, so that the
+functions tests call directly work in a fresh process: `build_scenario`,
+`_points`, and `run_experiment` and `run_predict`, which build their
+scenario before they use any other numeric name. A lookup of such a name
+from outside (`cli.transient_sweep`, say) binds them as well (PEP 562).
+
 The program's process has one garbage-collection policy, set at its entry
 and nowhere else: `entry`, which both `python -m confilt.cli` and the
-`confilt` console script call once the imports are done, freezes what they
-built (`gc.freeze`) and then calls `main`. No collection then walks the
-objects of the imports (about 22 k): not at exit (most of the interpreter's
-exit time otherwise), and not in `_run_jobs`'s forked children, whose
-pages such a walk would also copy. Objects made after the freeze are
-collected as usual, and `main` itself leaves the collector as it finds it,
-so calling it in-process changes nothing.
+`confilt` console script call once the imports are done, loads the numeric
+layers for `run` and `predict`, freezes what the imports built
+(`gc.freeze`) and then calls `main`. No collection then walks the objects
+of the imports (about 22 k with numpy, 14 k without): not at exit (most of
+the interpreter's exit time otherwise), and not in `_run_jobs`'s forked
+children, whose pages such a walk would also copy. Objects made after the
+freeze are collected as usual, and `main` itself leaves the collector as it
+finds it, so calling it in-process changes nothing.
 
 Exit codes: 0 success, 1 config error, 2 runtime divergence, 3 I/O error.
 `main` alone turns a command's outcome into its code and one stderr line: a
@@ -68,29 +80,56 @@ from dataclasses import dataclass, field, make_dataclass, replace
 from functools import partial
 from itertools import groupby
 from pathlib import Path
-from typing import Any, Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
-import numpy as np
-
-from .constraints import ConstraintSet, build_constraint_set, linear_phase_constraints
 from .kernels import ALGORITHMS, AlgorithmParams
-from .simulation import (
-    EnsembleDivergedError,
-    SignalModel,
-    StepSizeMatchError,
-    ar1_signal_model,
-    linear_phase_system,
-    match_step_size,
-    noise_var_from_snr,
-    optimal_constrained_wiener,
-    ratio_to_db,
-    run_step_size_sweep,
-    sparse_system_schedule,
-    steady_state_emse_sim,
-    steady_state_plateau_db,
-    white_signal_model,
-)
-from .theory import steady_state_emse, transient_sweep
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .constraints import ConstraintSet
+    from .simulation import SignalModel
+
+
+def _numeric() -> None:
+    """Bind numpy and the names this module uses from the numeric layers
+    (constraints, simulation, theory) as its globals, once; a later call,
+    which finds them bound, keeps them as they are, patched or traced."""
+    if "np" in globals():
+        return
+    import numpy as np
+
+    from .constraints import build_constraint_set, linear_phase_constraints
+    from .simulation import (
+        EnsembleDivergedError,
+        StepSizeMatchError,
+        ar1_signal_model,
+        linear_phase_system,
+        match_step_size,
+        noise_var_from_snr,
+        optimal_constrained_wiener,
+        ratio_to_db,
+        run_step_size_sweep,
+        sparse_system_schedule,
+        steady_state_emse_sim,
+        steady_state_plateau_db,
+        white_signal_model,
+    )
+    from .theory import steady_state_emse, transient_sweep
+
+    globals().update(locals())
+
+
+def __getattr__(name: str):
+    """A numeric name looked up from outside before `_numeric` has run binds
+    them all (PEP 562). Dunder probes, such as the import system's
+    `__path__`, load nothing."""
+    if not name.startswith("__"):
+        _numeric()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXPERIMENT_IDS = ("exp1", "exp2-snr", "exp2-mu", "exp3", "custom")
 
@@ -349,6 +388,7 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
 
 def _signal_model(cfg: ExperimentConfig, sigma_v2: float) -> SignalModel:
     """The unknown system, drawn from system_seed, under the configured input."""
+    _numeric()
     rng = np.random.default_rng(cfg.system_seed)
     if cfg.experiment == "exp3":
         w_sys = sparse_system_schedule(cfg.filter_length, cfg.horizon, rng)
@@ -386,7 +426,6 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray], preambl
     """Write the `preamble` lines, the header and one row per index of
     `columns`, each value as `_fmt` writes it (integers in full, floats to 12
     significant digits) through one %-format per row."""
-    columns = [np.asarray(c) for c in columns]
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{line}\n" for line in [*preamble, ",".join(header)])
@@ -719,26 +758,31 @@ def main(argv=None) -> int:
             for note in cfg.notes:
                 print(f"  {note}")
             return EXIT_OK
-        if args.command == "predict":
-            return run_predict(cfg, Path(cfg.out_dir))
-        run_experiment(cfg, Path(cfg.out_dir))
+        _numeric()
+        try:
+            if args.command == "predict":
+                return run_predict(cfg, Path(cfg.out_dir))
+            run_experiment(cfg, Path(cfg.out_dir))
+        except (EnsembleDivergedError, StepSizeMatchError) as exc:
+            print(f"run failed: {exc}", file=sys.stderr)
+            return EXIT_DIVERGED
         print(f"experiment {cfg.experiment} complete; results in {cfg.out_dir}/")
         return EXIT_OK
     except ConfigError as exc:
         print(f"{'invalid' if args.command == 'validate' else 'config error'}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EnsembleDivergedError, StepSizeMatchError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except OSError as exc:
         print(f"{'cannot write template' if args.command == 'init' else 'i/o error'}: {exc}", file=sys.stderr)
         return EXIT_IO
 
 
 def entry() -> int:
-    """`main` as the program: freeze what the imports built, then collect as
-    usual (see the module docstring). `python -m confilt.cli` and the
-    `confilt` console script both start here."""
+    """`main` as the program: load the numeric layers if the command computes,
+    freeze what the imports built, then collect as usual (see the module
+    docstring). `python -m confilt.cli` and the `confilt` console script
+    both start here."""
+    if sys.argv[1:2] in (["run"], ["predict"]):
+        _numeric()
     gc.freeze()
     return main()
 

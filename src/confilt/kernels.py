@@ -19,16 +19,23 @@ update rules. Constrained variants project back with ``w <- P (.) + f``.
 The sparse variants add a linearized l1-budget constraint s^T w = t on top
 of the linear constraints; the reweighted flavor shrinks only inactive taps
 by using an arctan surrogate for the l1 norm.
+
+Importing this module loads no numpy: the sparse reference step `_l1_step`
+imports it when it runs, and the other steps only apply operators to the
+arrays they are given. So `cli` can check a config against `ALGORITHMS`
+without numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .constraints import ConstraintSet
+    from .constraints import ConstraintSet
 
 
 class DivergenceError(RuntimeError):
@@ -188,6 +195,8 @@ def _l1_step(
     alpha: float,
     reweighted: bool,
 ) -> tuple[FilterState, SparseStepAux]:
+    import numpy as np
+
     e = _error(state, u, d)
     w, t = state.w, params.t
     if t is None:

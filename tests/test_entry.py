@@ -5,11 +5,14 @@ file, a numpy RuntimeWarning, a DeprecationWarning) is an error there.
 The entry writes the same files, stdout, stderr and exit code as `cli.main`
 called in this process on the same config, and runs `main` with the collector
 enabled and the imports' heap frozen; `cli.main` itself leaves the collector
-as it finds it. Every run is short (horizon 200, 2 trials); a `run` of
-exp2-mu has two jobs, so it forks wherever two cores are available. The
-subprocess runs with one BLAS thread, as perfbench runs the program, so that
-its forks happen in a single-threaded process: from Python 3.12 on, forking
-a process that holds threads is itself a DeprecationWarning.
+as it finds it. The commands that compute nothing (`init`, `validate`,
+`--help`, a usage error) load no numpy, and for `run` and `predict` the
+entry loads it before it freezes the heap. Every run is short (horizon 200,
+2 trials); a `run` of exp2-mu has two jobs, so it forks wherever two cores
+are available. The subprocess runs with one BLAS thread, as perfbench runs
+the program, so that its forks happen in a single-threaded process: from
+Python 3.12 on, forking a process that holds threads is itself a
+DeprecationWarning.
 """
 
 import gc
@@ -105,6 +108,56 @@ def test_main_runs_collecting_with_the_imports_frozen(tmp_path, how):
     assert code == cli.EXIT_OK and out.startswith("config ok: experiment custom")
     state, frozen = err.removesuffix("\n").rsplit("=", 1)
     assert state == "enabled=True frozen" and int(frozen) > 0
+
+
+# the modules that only the commands which compute, `run` and `predict`, need
+NUMERIC = ("numpy", "confilt.constraints", "confilt.simulation", "confilt.theory")
+LOADED = f"import sys\ndef loaded(): return ','.join(m for m in {NUMERIC!r} if m in sys.modules)\n"
+# prints which of them the process has loaded when it exits
+AT_EXIT = LOADED + "import atexit\natexit.register(lambda: print(f'loaded={loaded()}', file=sys.stderr))\n"
+# prints which of them the process has loaded when the entry freezes the heap
+AT_FREEZE = LOADED + """
+import gc
+freeze = gc.freeze
+def probe():
+    print(f"loaded={loaded()}", file=sys.stderr)
+    freeze()
+gc.freeze = probe
+"""
+# name -> (arguments, exit code) of the commands that compute nothing; the
+# failures must report their own error, not one from a name left unloaded
+READERS = {
+    "validate": (["validate", "--config", "config.ini"], cli.EXIT_OK),
+    "validate-fails": (["validate", "--config", "missing.ini"], cli.EXIT_CONFIG),
+    "init": (["init", "--config", "new.ini"], cli.EXIT_OK),
+    "init-fails": (["init", "--config", "missing/new.ini"], cli.EXIT_IO),
+    "help": (["--help"], cli.EXIT_OK),
+    "usage-error": (["simulate"], cli.EXIT_CONFIG),
+}
+
+
+@pytest.mark.parametrize("how", ENTRIES)
+@pytest.mark.parametrize("command", READERS)
+def test_commands_that_compute_nothing_load_no_numpy(tmp_path, how, command):
+    (tmp_path / "config.ini").write_text(f"[experiment]\nid = custom\n{SHORT}", encoding="utf-8")
+    argv, expected = READERS[command]
+    code, _, err = strict_python(tmp_path, "-c", AT_EXIT + ENTRIES[how], *argv)
+    assert code == expected and "Traceback" not in err and err.splitlines()[-1] == "loaded="
+
+
+@pytest.mark.parametrize("module", ["confilt.kernels", "confilt.cli"])
+def test_importing_the_config_layer_loads_no_numpy(tmp_path, module):
+    assert strict_python(tmp_path, "-c", f"{AT_EXIT}import {module}\n") == (0, "", "loaded=\n")
+
+
+@pytest.mark.parametrize("how", ENTRIES)
+@pytest.mark.parametrize("command", ["run", "predict"])
+def test_the_freeze_covers_numpy_for_the_commands_that_compute(tmp_path, how, command):
+    cfg = tmp_path / "config.ini"
+    cfg.write_text(f"[experiment]\nid = custom\n{SHORT}", encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--trials", "2", "--out-dir", "out"]
+    code, _, err = strict_python(tmp_path, "-c", AT_FREEZE + ENTRIES[how], *argv)
+    assert code == cli.EXIT_OK and err == f"loaded={','.join(NUMERIC)}\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False])
