@@ -23,10 +23,12 @@ sizes that match its plateaus; and one theory recursion. `_run_jobs` spreads
 the jobs over the cores this process may use: this process computes one
 share and a forked child each other share. Results come back in job order,
 and the first failure in job order ends the run (a share runs none of its
-jobs after its own first failure), so the outputs, the messages and the
-exit code are those of one core, which takes the sweeps level by level,
-each matched algorithm right after its reference, and then the
-recursions. There is no option for this: one core, or one job, forks
+jobs after its own first failure), so the files, stdout, the `run
+failed:` line and the exit code are those of one core, which takes the
+sweeps level by level, each matched algorithm right after its reference,
+and then the recursions. numpy's raw RuntimeWarnings are not: forked
+children write them to stderr as they compute, so they can come in another
+order and number. There is no option for this: one core, or one job, forks
 nothing.
 
 Only `run` and `predict` compute, so only they load numpy and the numeric

@@ -58,10 +58,6 @@ class DegenerateDirectionError(RuntimeError):
     vector). Callers fall back to the corresponding non-sparse step.
     """
 
-    def __init__(self, message: str, iteration: int):
-        super().__init__(message)
-        self.iteration = iteration
-
 
 @dataclass(frozen=True)
 class AlgorithmParams:
@@ -217,8 +213,7 @@ def _l1_step(
     if ps2 < _DEGENERATE_PS2:
         raise DegenerateDirectionError(
             f"projected sign direction vanished at iteration {state.n} "
-            f"(||P s||^2 = {ps2:.3e})",
-            iteration=state.n,
+            f"(||P s||^2 = {ps2:.3e})"
         )
     q = Ps / ps2
 

@@ -32,12 +32,15 @@ the per-sample loop whatever else shares its pass or block, and ensembles
 are reduced in trial order, so results are reproducible bit for bit for a
 given (config, base_seed).
 
-Every step writes its results (the error, mu g(e), the sparse direction
-and budget terms, w + mu g(e) u, and the next weights, projected straight
-into the ring) into buffers reused from step to step. A trial's input and
-desired signal carry a step-size axis of length one, and a per-row scalar
-that scales the row's vectors a tap axis of length one, so that each
-broadcasts over the rows and taps it meets.
+Every step writes the error, mu g(e) and the next weights, projected
+straight into the ring, into buffers reused from step to step, and so does
+a non-sparse step with w + mu g(e) u. The sparse variants' direction and
+budget terms are plain expressions, written term for term as
+`kernels._l1_step` writes them; on one core at exp3's defaults they kept
+each sweep's time within the spread of their earlier buffered form
+(`_run_rows`). A trial's input and desired signal carry a step-size axis of
+length one, and a per-row scalar that scales the row's vectors a tap axis
+of length one, so that each broadcasts over the rows and taps it meets.
 """
 
 from __future__ import annotations
@@ -423,27 +426,21 @@ def _run_rows(
     msd_ratio = np.empty((T, n_mu, K))
     ea2 = np.empty((T, n_mu, K))
 
-    # buffers reused by every step; a per-row scalar that scales the row's
-    # vectors is a (T, mus, 1) column. Plain expressions in their place keep
-    # every output bit but allocate each step's temporaries anew. On one core
-    # of a 2-vCPU Xeon VM, at exp3's pass of 185 trials (L = 30, 6000 steps,
-    # one step size, 20 interleaved pairs), that made a clmls sweep 8 % slower
-    # (median 0.71 -> 0.77 s, slower in 15 pairs) and left l1-wclmls as it was
-    # (1.92 -> 1.91 s); exp2-mu at its defaults took 2.23 -> 2.32 s (6 pairs)
+    # the non-sparse steps' buffers, reused by every step; a per-row scalar
+    # that scales the row's vectors is a (T, mus, 1) column. Plain
+    # expressions in their place keep every output bit but allocate each
+    # step's temporaries anew. On one core of a 2-vCPU Xeon VM, at exp3's
+    # pass of 185 trials (L = 30, 6000 steps, one step size, 20 interleaved
+    # pairs), that made a clmls sweep 8 % slower (median 0.71 -> 0.77 s,
+    # slower in 15 pairs); exp2-mu at its defaults took 2.23 -> 2.32 s
+    # (6 pairs). The sparse terms are plain expressions, written as
+    # `kernels._l1_step` writes them. Against their buffered form (exp3's
+    # defaults, one core, a pass of 185 trials, 6000 steps, 12 pairs) a
+    # sweep's median moved +1.7 % for l1-clms (slower in 10 pairs), +1.1 %
+    # for l1-clmls (10), -1.1 % for l1-wclms (3) and -5.4 % for l1-wclmls
+    # (2), each less than the buffered form's interquartile range
     step = np.empty((T, n_mu, 1))  # mu g(e)
-    moved = np.empty((T, n_mu, L))  # w + mu g(e) u, or w + mu g(e) P' u
-    if spec.sparse:
-        s = np.empty((T, n_mu, L))  # sign direction
-        scale = np.empty((T, n_mu, L))  # beta^2 w^2 + 1, then arctan(beta |w|)
-        t_now = np.empty((T, n_mu, 1))  # current (reweighted) l1 norm
-        Ps = np.empty((T, n_mu, L))
-        ps2 = np.empty((T, n_mu, 1))
-        q = np.empty((T, n_mu, L))
-        Pu = np.empty((T, 1, L))
-        psu = np.empty((T, n_mu, 1))  # (P s) . u
-        p_prime_u = np.empty((T, n_mu, L))
-        e_l1 = np.empty((T, n_mu, 1))
-        f_l1 = np.empty((T, n_mu, L))
+    moved = np.empty((T, n_mu, L))  # w + mu g(e) u
 
     # a row whose error turns non-finite has diverged: it keeps running on
     # inf/nan, and its curves are zero from the block of its divergence on.
@@ -463,31 +460,20 @@ def _run_rows(
                 np.multiply(mus, g, out=step[..., 0])
                 if spec.sparse:
                     if spec.reweighted:
-                        np.sign(W, out=s)
-                        np.multiply(2.0 * beta / math.pi, s, out=s)
-                        np.multiply(beta * beta, W, out=scale)
-                        np.multiply(scale, W, out=scale)
-                        np.divide(s, np.add(scale, 1.0, out=scale), out=s)
-                        np.abs(W, out=scale)
-                        np.arctan(np.multiply(beta, scale, out=scale), out=scale)
-                        np.sum(scale, axis=-1, keepdims=True, out=t_now)
-                        np.multiply(2.0 / math.pi, t_now, out=t_now)
+                        s = (2.0 * beta / math.pi) * np.sign(W) / (beta * beta * W * W + 1.0)
+                        t_now = (2.0 / math.pi) * np.sum(np.arctan(beta * np.abs(W)), axis=-1, keepdims=True)
                     else:
-                        np.sign(W, out=s)
-                        np.vecdot(s, W, keepdims=True, out=t_now)
-                    np.matvec(P, s, out=Ps)
-                    np.divide(Ps, np.vecdot(Ps, Ps, keepdims=True, out=ps2), out=q)
-                    np.matvec(P, u, out=Pu)
-                    np.vecdot(Ps, u, keepdims=True, out=psu)
-                    np.subtract(Pu, np.multiply(q, psu, out=p_prime_u), out=p_prime_u)
-                    np.subtract(seg_params[seg_of[n]].t, t_now, out=e_l1)
-                    np.multiply(e_l1, q, out=f_l1)
-                    np.add(W, np.multiply(step, p_prime_u, out=moved), out=moved)
-                    np.add(np.add(np.matvec(P, moved, out=w_next), f, out=w_next), f_l1, out=w_next)
+                        s = np.sign(W)
+                        t_now = np.vecdot(s, W, keepdims=True)
+                    Ps = np.matvec(P, s)
+                    ps2 = np.vecdot(Ps, Ps, keepdims=True)
+                    q = Ps / ps2
+                    f_l1 = (seg_params[seg_of[n]].t - t_now) * q
+                    p_prime_u = np.matvec(P, u) - q * np.vecdot(Ps, u, keepdims=True)
+                    np.add(np.add(np.matvec(P, W + step * p_prime_u, out=w_next), f, out=w_next), f_l1, out=w_next)
                     # rows whose P s vanished take the non-sparse step
                     if np.less(ps2, _DEGENERATE_PS2, out=degenerate[i]).any():
-                        np.add(W, np.multiply(step, u, out=moved), out=moved)
-                        np.copyto(w_next, np.matvec(P, moved) + f, where=degenerate[i])
+                        np.copyto(w_next, np.matvec(P, W + step * u) + f, where=degenerate[i])
                 elif spec.constrained:
                     np.add(W, np.multiply(step, u, out=moved), out=moved)
                     np.add(np.matvec(P, moved, out=w_next), f, out=w_next)
@@ -718,14 +704,6 @@ _MATCH_GRID = 6
 class StepSizeMatchError(RuntimeError):
     """The requested plateau is not bracketed by the search bounds."""
 
-    def __init__(self, message: str, bracket: tuple[float, float], plateaus: tuple[float, float]):
-        super().__init__(message)
-        self.bracket = bracket
-        self.plateaus = plateaus
-
-    def __reduce__(self):
-        return type(self), (str(self), self.bracket, self.plateaus)
-
 
 def match_step_size(
     reference_msd_db: float,
@@ -783,9 +761,7 @@ def match_step_size(
         raise StepSizeMatchError(
             f"target {reference_msd_db:.2f} dB not bracketed: best achievable "
             f"plateau over [{lo:g}, {hi:g}] is {levels[k_min]:.2f} dB at "
-            f"mu = {grid[k_min]:g}",
-            bracket=(lo, hi),
-            plateaus=(levels[0], levels[-1]),
+            f"mu = {grid[k_min]:g}"
         )
     # walk the rising branch for the tightest bracket around the target
     k_hi = None
@@ -796,9 +772,7 @@ def match_step_size(
     if k_hi is None:
         raise StepSizeMatchError(
             f"target {reference_msd_db:.2f} dB above every plateau on the "
-            f"rising branch; largest is {levels[-1]:.2f} dB at mu = {hi:g}",
-            bracket=(lo, hi),
-            plateaus=(levels[0], levels[-1]),
+            f"rising branch; largest is {levels[-1]:.2f} dB at mu = {hi:g}"
         )
     lo, p_lo = grid[k_hi - 1], levels[k_hi - 1]
     hi, p_hi = grid[k_hi], levels[k_hi]

@@ -215,7 +215,9 @@ def test_log_kernel_twin_at_infinite_alpha_is_the_lms_member(lms, twin, scenario
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
-@pytest.mark.parametrize("algorithm", ["clmls", "l1-wclmls", "lmls"])
+# the dc-gain schedule starts from w = f, where P s vanishes, so a sparse
+# variant's multi-mu pass mixes degenerate and normal rows
+@pytest.mark.parametrize("algorithm", ["clmls", "l1-clms", "l1-clmls", "l1-wclms", "l1-wclmls", "lmls"])
 def test_row_independent_of_batch(algorithm):
     model, cs = schedule_scenario()
     params = AlgorithmParams(mu=0.05)
